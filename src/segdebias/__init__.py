@@ -18,7 +18,7 @@ from .core import (
 )
 from .bank import Centroid, CentroidBank, build_centroid_bank, kmeans_spherical
 from .selection import DebiasedCentroidSet, background_distance, select_debiased
-from .debiasing import ThresholdRefinement, binarize, debias_label, similarity_map
+from .debiasing import binarize, debias_label, similarity_map
 from .trainloop import (
     SegHead,
     TrainConfig,
@@ -52,7 +52,6 @@ __all__ = [
     "DebiasedCentroidSet",
     "background_distance",
     "select_debiased",
-    "ThresholdRefinement",
     "binarize",
     "debias_label",
     "similarity_map",

@@ -8,7 +8,6 @@ was written.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -17,7 +16,7 @@ from pathlib import Path
 from . import formats
 from .bank import build_centroid_bank
 from .core import DatasetManifest
-from .debiasing import DEFAULT_THRESHOLD, ThresholdRefinement, debias_image
+from .debiasing import DEFAULT_THRESHOLD, debias_image
 from .evaluation import (
     evaluate_predictions,
     per_class_fp_rows,
@@ -46,12 +45,13 @@ def _threshold_arg(value: str) -> float:
     return threshold
 
 
-def _load_debiased(directory: Path, manifest: DatasetManifest):
+def _load_label_dir(directory, manifest: DatasetManifest, kind: str):
+    """One `<image_id>.bin` label per manifest record; a missing file is an error."""
     out = {}
     for record in manifest.records:
-        path = directory / f"{record.image_id}.bin"
+        path = Path(directory) / f"{record.image_id}.bin"
         if not path.exists():
-            raise FileNotFoundError(f"missing debiased label {path}")
+            raise FileNotFoundError(f"missing {kind} label {path}")
         out[record.image_id] = formats.read_label_map(path, manifest.num_classes)
     return out
 
@@ -94,14 +94,13 @@ def _cmd_select(args) -> int:
 def _cmd_debias(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     cset = formats.read_centroid_set(args.centroids)
-    refine = ThresholdRefinement(args.threshold)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rewritten = 0
     for record in manifest.records:
         fmap = formats.read_feature_map(record.feature_path)
         pseudo = formats.read_label_map(record.label_path, manifest.num_classes)
-        debiased = debias_image(fmap, pseudo, cset, record.truth_classes, refine)
+        debiased = debias_image(fmap, pseudo, cset, record.truth_classes, args.threshold)
         rewritten += int((debiased.data == -1).sum())
         formats.write_label_map(out_dir / f"{record.image_id}.bin", debiased)
     print(f"wrote {len(manifest.records)} debiased labels ({rewritten} pixels rewritten)")
@@ -110,13 +109,12 @@ def _cmd_debias(args) -> int:
 
 def _cmd_train(args) -> int:
     manifest = formats.read_manifest(args.manifest)
-    debiased = _load_debiased(Path(args.debiased), manifest)
+    debiased = _load_label_dir(args.debiased, manifest, "debiased")
     config = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
         ema_momentum=args.ema,
         seed=args.seed,
-        refinement_threshold=args.refinement_threshold,
         complement=not args.no_complement,
         certainty_weighting=not args.no_certainty,
     )
@@ -138,19 +136,11 @@ def _cmd_eval(args) -> int:
     ground_truth = formats.load_ground_truth(manifest)
     if not ground_truth:
         raise ValueError("no record in the manifest carries a gt_path")
-    pred_dir = Path(args.pred)
-    predictions = {}
-    for record in manifest.records:
-        path = pred_dir / f"{record.image_id}.bin"
-        if path.exists():
-            predictions[record.image_id] = formats.read_label_map(path, manifest.num_classes)
+    predictions = _load_label_dir(args.pred, manifest, "prediction")
     rep = evaluate_predictions(ground_truth, predictions, manifest.num_classes)
     formats.atomic_write_bytes(args.out, report_json(rep).encode("utf-8"))
     if args.fp_csv:
-        with open(args.fp_csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["class_id", "fp_share"])
-            writer.writeheader()
-            writer.writerows(per_class_fp_rows(rep))
+        formats.write_csv(args.fp_csv, ["class_id", "fp_share"], per_class_fp_rows(rep))
     print(report_text(rep))
     return 0
 
@@ -159,12 +149,9 @@ def _cmd_export_centroids(args) -> int:
     bank = formats.read_centroid_bank(args.bank)
     cset = formats.read_centroid_set(args.centroids)
     rows = selection_rows(bank, cset.alpha)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["class_id", "image_id", "cluster_index", "dist", "selected"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    formats.write_csv(
+        args.out, ["class_id", "image_id", "cluster_index", "dist", "selected"], rows
+    )
     print(f"wrote {len(rows)} centroid rows to {args.out}")
     return 0
 
@@ -188,13 +175,11 @@ def _cmd_sweep(args) -> int:
         seed=args.seed,
     )
     rows = sweep(manifest, features, labels, ground_truth, args.param, values, base)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=["param", "value", "miou", "fp_rate", "fn_rate", "selection_accuracy"],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    formats.write_csv(
+        args.out,
+        ["param", "value", "miou", "fp_rate", "fn_rate", "selection_accuracy"],
+        rows,
+    )
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0
 
@@ -239,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--ema", type=float, default=0.99)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--refinement-threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", required=True, help="per-epoch metrics CSV")
     p.add_argument("--pred-out", help="also write final teacher predictions here")
@@ -284,7 +268,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError, RuntimeError) as exc:
+    except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

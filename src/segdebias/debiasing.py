@@ -1,16 +1,14 @@
 """Per-image similarity maps against the debiased centroids, binarization,
 and rewriting of impostor foreground pixels to the -1 sentinel.
 
-Refinement of the raw similarity map is pluggable; the shipped refinement is
-a global threshold (default 0.30).  A dense-CRF style refinement can be
-swapped in without touching the label rewrite.
+The similarity map is binarized with one global threshold (default 0.30);
+foreground pixels below it become -1.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -19,14 +17,10 @@ from .selection import DebiasedCentroidSet
 
 logger = logging.getLogger(__name__)
 
-RefineFn = Callable[[np.ndarray], np.ndarray]
-
 DEFAULT_THRESHOLD = 0.30
 
 __all__ = [
     "DEFAULT_THRESHOLD",
-    "RefineFn",
-    "ThresholdRefinement",
     "similarity_map",
     "binarize",
     "debias_label",
@@ -73,20 +67,6 @@ def binarize(sim: np.ndarray, threshold: float) -> np.ndarray:
     return sim >= threshold
 
 
-@dataclass(frozen=True)
-class ThresholdRefinement:
-    """Global-threshold refinement; stands in for heavier post-processing."""
-
-    threshold: float = DEFAULT_THRESHOLD
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
-
-    def __call__(self, sim: np.ndarray) -> np.ndarray:
-        return binarize(sim, self.threshold)
-
-
 def debias_label(pseudo: LabelMap, mask: np.ndarray) -> LabelMap:
     """Rewrite foreground pixels the keep-mask rejects to -1.
 
@@ -110,10 +90,8 @@ def debias_image(
     pseudo: LabelMap,
     centroids: DebiasedCentroidSet,
     truth_classes: Iterable[int],
-    refine: RefineFn | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> LabelMap:
-    """similarity_map -> refinement -> sentinel rewrite, for one image."""
-    if refine is None:
-        refine = ThresholdRefinement()
+    """similarity_map -> binarize -> sentinel rewrite, for one image."""
     sim = similarity_map(fmap, centroids, truth_classes)
-    return debias_label(pseudo, refine(sim))
+    return debias_label(pseudo, binarize(sim, threshold))

@@ -17,6 +17,8 @@ record object per line, with paths stored relative to the manifest.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import struct
@@ -57,6 +59,15 @@ def atomic_write_bytes(path, blob: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, fieldnames, rows) -> None:
+    """Atomically write dict rows as CSV with a header, \r\n-terminated."""
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 class _Reader:

@@ -15,7 +15,7 @@ import numpy as np
 from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
 from .core import DatasetManifest, FeatureMap, LabelMap
-from .debiasing import ThresholdRefinement, debias_image
+from .debiasing import debias_image
 from .evaluation import EvalReport, evaluate_predictions
 from .selection import DebiasedCentroidSet, select_debiased
 from .trainloop import TrainConfig, TrainResult, train
@@ -44,7 +44,6 @@ class PipelineParams:
             learning_rate=self.learning_rate,
             ema_momentum=self.ema_momentum,
             seed=self.seed,
-            refinement_threshold=self.threshold,
             complement=self.complement,
             certainty_weighting=self.certainty_weighting,
         )
@@ -66,14 +65,13 @@ def debias_all(
     centroid_set: DebiasedCentroidSet,
     threshold: float,
 ) -> dict[str, LabelMap]:
-    refine = ThresholdRefinement(threshold)
     return {
         r.image_id: debias_image(
             features[r.image_id],
             pseudo_labels[r.image_id],
             centroid_set,
             r.truth_classes,
-            refine,
+            threshold,
         )
         for r in manifest.records
     }
@@ -119,6 +117,8 @@ def _with_value(params: PipelineParams, name: str, value: float) -> PipelinePara
     if name == "alpha":
         return replace(params, alpha=float(value))
     if name == "kbg":
+        if not float(value).is_integer():
+            raise ValueError(f"kbg must be a whole number, got {value}")
         return replace(params, k_bg=int(value))
     if name == "threshold":
         return replace(params, threshold=float(value))

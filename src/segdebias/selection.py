@@ -66,21 +66,26 @@ class DebiasedCentroidSet:
 
 
 def _bank_matrix(bank: CentroidBank) -> np.ndarray:
+    if not bank.background:
+        raise ValueError("no background centroids")
     return np.stack([c.vector for c in bank.background])
+
+
+def _background_distances(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Eq. 1 for each row of a (M, D) matrix of unit vectors: the mean cosine
+    distance (1 - cos) / 2 to every row of the background bank matrix."""
+    sims = np.clip((vectors @ matrix.T) / np.linalg.norm(matrix, axis=1), -1.0, 1.0)
+    return np.mean((1.0 - sims) / 2.0, axis=1)
 
 
 def background_distance(centroid: Union[Centroid, np.ndarray], bank: CentroidBank) -> float:
     """Mean cosine distance from one vector to every background centroid."""
-    if not bank.background:
-        raise ValueError("no background centroids")
+    matrix = _bank_matrix(bank)
     vec = centroid.vector if isinstance(centroid, Centroid) else np.asarray(centroid, np.float64)
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ValueError("degenerate vector: zero norm")
-    matrix = _bank_matrix(bank)
-    row_norms = np.linalg.norm(matrix, axis=1)
-    sims = np.clip((matrix @ vec) / (row_norms * norm), -1.0, 1.0)
-    return float(np.mean((1.0 - sims) / 2.0))
+    return float(_background_distances((vec / norm)[None, :], matrix)[0])
 
 
 def selected_count(num_candidates: int, alpha: float) -> int:
@@ -93,16 +98,15 @@ def selected_count(num_candidates: int, alpha: float) -> int:
 def score_foreground(bank: CentroidBank) -> dict[int, list[ScoredCentroid]]:
     """Every foreground centroid scored and sorted descending by distance,
     with ties broken by (image_id, cluster_index) for reproducibility."""
-    if not bank.background:
-        raise ValueError("no background centroids")
     matrix = _bank_matrix(bank)
-    row_norms = np.linalg.norm(matrix, axis=1)
     out: dict[int, list[ScoredCentroid]] = {}
     for class_id in bank.foreground_classes():
-        scored = []
-        for c in bank.foreground[class_id]:
-            sims = np.clip((matrix @ c.vector) / row_norms, -1.0, 1.0)
-            scored.append(ScoredCentroid(c, float(np.mean((1.0 - sims) / 2.0))))
+        centroids = bank.foreground[class_id]
+        if not centroids:
+            out[class_id] = []
+            continue
+        dists = _background_distances(np.stack([c.vector for c in centroids]), matrix)
+        scored = [ScoredCentroid(c, float(d)) for c, d in zip(centroids, dists)]
         scored.sort(key=lambda s: (-s.dist, s.centroid.image_id, s.centroid.cluster_index))
         out[class_id] = scored
     return out

@@ -9,7 +9,7 @@ background bank and lets the distance score separate them), and tiny echo
 patches of each class's detail texture.
 
 Target blobs carry a small detail sub-region whose texture is only weakly
-aligned with the class prototype, so the threshold refinement drops those
+aligned with the class prototype, so the debias threshold drops those
 pixels; the echo patches give background supervision a slow, unopposed pull
 on that direction, which the complementing stage has to out-train.  Patch
 sizes are chosen so the pipeline ablations resolve by supervision-mass

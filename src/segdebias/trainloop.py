@@ -10,14 +10,13 @@ the teacher absorbs it through an exponential moving average.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
+from . import formats
 from .core import DatasetManifest, FeatureMap, LabelMap
 from .evaluation import ConfusionMatrix, accumulate, report
 
@@ -85,7 +84,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     ema_momentum: float = 0.99
     seed: int = 0
-    refinement_threshold: float = 0.30  # reserved for pluggable teacher refinement
     complement: bool = True
     certainty_weighting: bool = True
 
@@ -96,8 +94,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if not (0.0 <= self.ema_momentum < 1.0):
             raise ValueError("ema_momentum must lie in [0, 1)")
-        if not (0.0 <= self.refinement_threshold <= 1.0):
-            raise ValueError("refinement_threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -189,24 +185,24 @@ def wce_loss(probs: np.ndarray, yco: LabelMap, weights: np.ndarray) -> float:
     return float(np.sum(weights * -np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def _logit_gradient(probs: np.ndarray, yco: LabelMap, weights: np.ndarray) -> np.ndarray:
-    grad = np.array(probs, dtype=np.float64)
+def _head_gradient(
+    probs: np.ndarray, fmap: FeatureMap, yco: LabelMap, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    grad_logits = np.array(probs, dtype=np.float64)
     labels = yco.data.astype(np.int64)
     h, w = labels.shape
-    grad[labels, np.arange(h)[:, None], np.arange(w)[None, :]] -= 1.0
-    grad *= np.asarray(weights, dtype=np.float64)
-    return grad
+    grad_logits[labels, np.arange(h)[:, None], np.arange(w)[None, :]] -= 1.0
+    grad_logits *= np.asarray(weights, dtype=np.float64)
+    grad_w = np.tensordot(grad_logits, fmap.data.astype(np.float64), axes=([1, 2], [1, 2]))
+    grad_b = grad_logits.sum(axis=(1, 2))
+    return grad_w, grad_b
 
 
 def wce_gradient(
     head: SegHead, fmap: FeatureMap, yco: LabelMap, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of wce_loss w.r.t. (weights, bias) through the softmax."""
-    probs = forward(head, fmap)
-    grad_logits = _logit_gradient(probs, yco, weights)
-    grad_w = np.tensordot(grad_logits, fmap.data.astype(np.float64), axes=([1, 2], [1, 2]))
-    grad_b = grad_logits.sum(axis=(1, 2))
-    return grad_w, grad_b
+    return _head_gradient(forward(head, fmap), fmap, yco, weights)
 
 
 def ema_update(teacher: SegHead, student: SegHead, momentum: float) -> SegHead:
@@ -243,12 +239,8 @@ def train(
     whenever ground truth covers every record.
     """
     if features is None:
-        from . import formats
-
         features = formats.load_features(manifest)
     if ground_truth is None:
-        from . import formats
-
         ground_truth = formats.load_ground_truth(manifest)
     for record in manifest.records:
         if record.image_id not in debiased_labels:
@@ -285,11 +277,7 @@ def train(
                 raise RuntimeError(
                     f"non-finite loss {loss} at epoch {epoch}, image {record.image_id}"
                 )
-            grad_logits = _logit_gradient(probs, yco, weights)
-            grad_w = np.tensordot(
-                grad_logits, fmap.data.astype(np.float64), axes=([1, 2], [1, 2])
-            )
-            grad_b = grad_logits.sum(axis=(1, 2))
+            grad_w, grad_b = _head_gradient(probs, fmap, yco, weights)
             student = SegHead(
                 weights=student.weights - config.learning_rate * grad_w,
                 bias=student.bias - config.learning_rate * grad_b,
@@ -319,18 +307,17 @@ def train(
 
 
 def write_metrics_csv(path, metrics: Iterable[EpochMetrics]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss", "miou", "fp", "fn"])
-        for m in metrics:
-            writer.writerow(
-                [
-                    m.epoch,
-                    repr(m.loss),
-                    "" if m.miou is None else repr(m.miou),
-                    "" if m.fp_rate is None else repr(m.fp_rate),
-                    "" if m.fn_rate is None else repr(m.fn_rate),
-                ]
-            )
+    formats.write_csv(
+        path,
+        ["epoch", "loss", "miou", "fp", "fn"],
+        (
+            {
+                "epoch": m.epoch,
+                "loss": repr(m.loss),
+                "miou": "" if m.miou is None else repr(m.miou),
+                "fp": "" if m.fp_rate is None else repr(m.fp_rate),
+                "fn": "" if m.fn_rate is None else repr(m.fn_rate),
+            }
+            for m in metrics
+        ),
+    )

@@ -108,6 +108,40 @@ def test_sweep_row_cardinality(corpus_dir, tmp_path):
     assert all(r["miou"] for r in rows)
 
 
+def test_sweep_rejects_fractional_kbg(corpus_dir, tmp_path, capsys):
+    assert main([
+        "sweep", "--manifest", str(corpus_dir / "manifest.jsonl"),
+        "--param", "kbg", "--values", "1.5,1",
+        "--epochs", "1", "--out", str(tmp_path / "sweep.csv"),
+    ]) == 1
+    assert "1.5" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_eval_missing_prediction_is_nonzero(corpus_dir, tmp_path, capsys):
+    manifest_path = corpus_dir / "manifest.jsonl"
+    manifest = formats.read_manifest(manifest_path)
+    preds = tmp_path / "preds"
+    for image_id, gt in formats.load_ground_truth(manifest).items():
+        formats.write_label_map(preds / f"{image_id}.bin", gt)
+    missing = preds / f"{manifest.records[-1].image_id}.bin"
+    missing.unlink()
+    assert main(["eval", "--manifest", str(manifest_path), "--pred", str(preds),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_output_path_that_is_a_directory_is_nonzero(corpus_dir, tmp_path, capsys):
+    bank = tmp_path / "bank.bin"
+    assert main(["cluster", "--manifest", str(corpus_dir / "manifest.jsonl"),
+                 "--out", str(bank)]) == 0
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert main(["select", "--bank", str(bank), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_synth_defaults_to_standard_corpus(tmp_path):
     out = tmp_path / "std"
     assert main(["synth", "--out", str(out)]) == 0

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from segdebias.core import FeatureMap, LabelMap
 from segdebias.debiasing import (
-    ThresholdRefinement,
     binarize,
     debias_image,
     debias_label,
@@ -90,7 +89,7 @@ class TestBinarize:
         with pytest.raises(ValueError, match="threshold"):
             binarize(sim, 1.0 + 1e-9)
         with pytest.raises(ValueError, match="threshold"):
-            ThresholdRefinement(-0.1)
+            binarize(sim, -0.1)
 
     def test_pointwise(self):
         sim = np.array([[0.2, 0.5, 0.8]])
@@ -133,7 +132,7 @@ class TestDebiasLabel:
         cset = centroid_set({1: rng.normal(size=4), 2: rng.normal(size=4)})
         previous = None
         for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = debias_image(fmap, pseudo, cset, {1, 2}, ThresholdRefinement(threshold))
+            out = debias_image(fmap, pseudo, cset, {1, 2}, threshold)
             current = set(map(tuple, np.argwhere(out.data == -1)))
             if previous is not None:
                 assert previous <= current

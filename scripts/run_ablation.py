@@ -11,16 +11,14 @@ import tempfile
 from dataclasses import replace
 
 from segdebias.analysis import selection_accuracy
-from segdebias.pipeline import PipelineParams, run_pipeline
+from segdebias.cli import add_param_flags, params_from_flags
+from segdebias.pipeline import run_pipeline
 from segdebias.synth import SynthConfig, generate
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--epochs", type=int, default=40)
-    parser.add_argument("--lr", type=float, default=1e-3)
-    parser.add_argument("--ema", type=float, default=0.99)
-    parser.add_argument("--seed", type=int, default=0)
+    add_param_flags(parser, "epochs", "lr", "ema", "seed")
     parser.add_argument("--corpus-seed", type=int, default=7)
     args = parser.parse_args()
 
@@ -30,9 +28,7 @@ def main() -> None:
     labels = corpus.pseudo_labels()
     gts = corpus.ground_truth()
 
-    base = PipelineParams(
-        epochs=args.epochs, learning_rate=args.lr, ema_momentum=args.ema, seed=args.seed
-    )
+    base = params_from_flags(args)
     rows = [
         ("1 excluded", replace(base, complement=False, certainty_weighting=False)),
         ("2 +complement", replace(base, complement=True, certainty_weighting=False)),

@@ -66,8 +66,8 @@ class CentroidBank:
 
     foreground: Mapping[int, tuple[Centroid, ...]]
     background: tuple[Centroid, ...]
-    k_fg: int = 2
-    k_bg: int = 2
+    k_fg: int
+    k_bg: int
 
     def __post_init__(self) -> None:
         if self.k_fg < 1 or self.k_bg < 1:
@@ -260,22 +260,17 @@ def derive_seed(seed: int, image_id: str, class_id: int) -> int:
 def build_centroid_bank(
     manifest: DatasetManifest,
     pseudo_labels: Mapping[str, LabelMap],
-    k_fg: int = 2,
-    k_bg: int = 2,
-    seed: int = 0,
-    features: Optional[Mapping[str, FeatureMap]] = None,
+    k_fg: int,
+    k_bg: int,
+    seed: int,
+    features: Mapping[str, FeatureMap],
 ) -> CentroidBank:
     """Cluster every image's class regions and pool the centroids dataset-wide.
 
-    k_fg defaults to 2 so each foreground region can split into a target and
-    a co-occurring impostor cluster.  Images lacking a region contribute no
+    With k_fg >= 2 a foreground region can split into a target and a
+    co-occurring impostor cluster.  Images lacking a region contribute no
     centroids for it.
     """
-    if features is None:
-        from . import formats
-
-        features = formats.load_features(manifest)
-
     foreground: dict[int, list[Centroid]] = {}
     background: list[Centroid] = []
     for record in manifest.records:

@@ -11,38 +11,57 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import formats
 from .bank import build_centroid_bank
 from .core import DatasetManifest
-from .debiasing import DEFAULT_THRESHOLD, debias_image
+from .debiasing import debias_image
 from .evaluation import (
     evaluate_predictions,
     per_class_fp_rows,
     report_json,
     report_text,
 )
-from .pipeline import SWEEPABLE, PipelineParams, sweep
+from .pipeline import FLAG_FIELDS, SWEEPABLE, PipelineParams, sweep
 from .selection import select_debiased, selection_rows
 from .synth import SynthConfig, generate
-from .trainloop import TrainConfig, train, write_metrics_csv
+from .trainloop import train, write_metrics_csv
 
-logger = logging.getLogger(__name__)
-
-
-def _alpha_arg(value: str) -> float:
-    alpha = float(value)
-    if not (0.0 < alpha <= 1.0):
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1], got {alpha}")
-    return alpha
+_DEFAULTS = PipelineParams()
 
 
-def _threshold_arg(value: str) -> float:
-    threshold = float(value)
-    if not (0.0 <= threshold <= 1.0):
-        raise argparse.ArgumentTypeError(f"threshold must lie in [0, 1], got {threshold}")
-    return threshold
+def _param_type(name: str):
+    """argparse type of one PipelineParams field: its type, then its range check."""
+    kind = type(getattr(_DEFAULTS, name))
+
+    def parse(text: str):
+        try:
+            return getattr(replace(_DEFAULTS, **{name: kind(text)}), name)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def add_param_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Hyperparameter flags; each defaults to its PipelineParams field."""
+    for flag in flags:
+        name = FLAG_FIELDS[flag]
+        parser.add_argument(
+            f"--{flag}",
+            dest=name,
+            metavar=flag.upper(),
+            type=_param_type(name),
+            default=getattr(_DEFAULTS, name),
+        )
+
+
+def params_from_flags(args) -> PipelineParams:
+    """PipelineParams from the parsed flags; fields without a flag keep their defaults."""
+    names = [f.name for f in fields(PipelineParams) if hasattr(args, f.name)]
+    return PipelineParams(**{name: getattr(args, name) for name in names})
 
 
 def _load_label_dir(directory, manifest: DatasetManifest, kind: str):
@@ -75,7 +94,7 @@ def _cmd_cluster(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     labels = formats.load_pseudo_labels(manifest)
     bank = build_centroid_bank(
-        manifest, labels, k_fg=args.kfg, k_bg=args.kbg, seed=args.seed
+        manifest, labels, args.k_fg, args.k_bg, args.seed, formats.load_features(manifest)
     )
     formats.write_centroid_bank(args.out, bank.canonically_sorted())
     n_fg = sum(len(v) for v in bank.foreground.values())
@@ -110,15 +129,14 @@ def _cmd_debias(args) -> int:
 def _cmd_train(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     debiased = _load_label_dir(args.debiased, manifest, "debiased")
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        ema_momentum=args.ema,
-        seed=args.seed,
-        complement=not args.no_complement,
-        certainty_weighting=not args.no_certainty,
+    config = params_from_flags(args).train_config()
+    result = train(
+        manifest,
+        debiased,
+        config,
+        features=formats.load_features(manifest),
+        ground_truth=formats.load_ground_truth(manifest),
     )
-    result = train(manifest, debiased, config)
     formats.write_checkpoint(args.out, result.teacher)
     write_metrics_csv(args.log, result.metrics)
     if args.pred_out:
@@ -133,9 +151,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     manifest = formats.read_manifest(args.manifest)
+    for record in manifest.records:
+        if record.gt_path is None:
+            raise ValueError(f"{record.image_id} has no gt_path; eval scores every record")
     ground_truth = formats.load_ground_truth(manifest)
-    if not ground_truth:
-        raise ValueError("no record in the manifest carries a gt_path")
     predictions = _load_label_dir(args.pred, manifest, "prediction")
     rep = evaluate_predictions(ground_truth, predictions, manifest.num_classes)
     formats.atomic_write_bytes(args.out, report_json(rep).encode("utf-8"))
@@ -164,16 +183,7 @@ def _cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values must list at least one number")
-    base = PipelineParams(
-        k_fg=args.kfg,
-        k_bg=args.kbg,
-        alpha=args.alpha,
-        threshold=args.threshold,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        ema_momentum=args.ema,
-        seed=args.seed,
-    )
+    base = params_from_flags(args)
     rows = sweep(manifest, features, labels, ground_truth, args.param, values, base)
     formats.write_csv(
         args.out,
@@ -198,37 +208,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cluster", help="build the per-image centroid bank")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--kfg", type=int, default=2)
-    p.add_argument("--kbg", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    add_param_flags(p, "kfg", "kbg", "seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("select", help="aggregate debiased centroids from a bank")
     p.add_argument("--bank", required=True)
-    p.add_argument("--alpha", type=_alpha_arg, default=0.40)
+    add_param_flags(p, "alpha")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_select)
 
     p = sub.add_parser("debias", help="rewrite impostor foreground pixels to -1")
     p.add_argument("--manifest", required=True)
     p.add_argument("--centroids", required=True)
-    p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
+    add_param_flags(p, "threshold")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_debias)
 
     p = sub.add_parser("train", help="teacher-student training on debiased labels")
     p.add_argument("--manifest", required=True)
     p.add_argument("--debiased", required=True)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--ema", type=float, default=0.99)
-    p.add_argument("--seed", type=int, default=0)
+    add_param_flags(p, "epochs", "lr", "ema", "seed")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--log", required=True, help="per-epoch metrics CSV")
     p.add_argument("--pred-out", help="also write final teacher predictions here")
-    p.add_argument("--no-complement", action="store_true")
-    p.add_argument("--no-certainty", action="store_true")
+    p.add_argument("--no-complement", dest="complement", action="store_false")
+    p.add_argument("--no-certainty", dest="certainty_weighting", action="store_false")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -249,14 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=SWEEPABLE, required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--out", required=True)
-    p.add_argument("--kfg", type=int, default=2)
-    p.add_argument("--kbg", type=int, default=2)
-    p.add_argument("--alpha", type=_alpha_arg, default=0.40)
-    p.add_argument("--threshold", type=_threshold_arg, default=DEFAULT_THRESHOLD)
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--ema", type=float, default=0.99)
-    p.add_argument("--seed", type=int, default=0)
+    add_param_flags(p, *FLAG_FIELDS)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

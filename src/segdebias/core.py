@@ -208,9 +208,3 @@ class DatasetManifest:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def record(self, image_id: str) -> ImageRecord:
-        for r in self.records:
-            if r.image_id == image_id:
-                return r
-        raise KeyError(image_id)

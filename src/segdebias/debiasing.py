@@ -1,8 +1,8 @@
 """Per-image similarity maps against the debiased centroids, binarization,
 and rewriting of impostor foreground pixels to the -1 sentinel.
 
-The similarity map is binarized with one global threshold (default 0.30);
-foreground pixels below it become -1.
+The similarity map is binarized with one global threshold; foreground
+pixels below it become -1.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from .selection import DebiasedCentroidSet
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_THRESHOLD = 0.30
-
 __all__ = [
-    "DEFAULT_THRESHOLD",
     "similarity_map",
     "binarize",
     "debias_label",
@@ -90,7 +87,7 @@ def debias_image(
     pseudo: LabelMap,
     centroids: DebiasedCentroidSet,
     truth_classes: Iterable[int],
-    threshold: float = DEFAULT_THRESHOLD,
+    threshold: float,
 ) -> LabelMap:
     """similarity_map -> binarize -> sentinel rewrite, for one image."""
     sim = similarity_map(fmap, centroids, truth_classes)

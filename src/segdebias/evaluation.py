@@ -118,12 +118,19 @@ def evaluate_predictions(
     predictions: Mapping[str, LabelMap],
     num_classes: int,
 ) -> EvalReport:
-    """Accumulate over every id present in both mappings and report."""
-    shared = sorted(set(ground_truth) & set(predictions))
-    if not shared:
+    """Accumulate over every image and report; both mappings must cover the
+    same non-empty set of image ids."""
+    unshared = sorted(set(ground_truth) ^ set(predictions))
+    if unshared:
+        lacking = "prediction" if unshared[0] in ground_truth else "ground truth"
+        raise ValueError(
+            f"image ids not shared between ground truth and predictions: "
+            f"{unshared[0]} has no {lacking}"
+        )
+    if not ground_truth:
         raise ValueError("no image ids shared between ground truth and predictions")
     cm = ConfusionMatrix.empty(num_classes)
-    for image_id in shared:
+    for image_id in sorted(ground_truth):
         cm = accumulate(cm, ground_truth[image_id], predictions[image_id])
     return report(cm)
 

@@ -7,7 +7,7 @@ chain cheaply without touching disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -22,31 +22,41 @@ from .trainloop import TrainConfig, TrainResult, train
 
 __all__ = ["PipelineParams", "PipelineResult", "debias_all", "run_pipeline", "sweep"]
 
+# CLI flag -> PipelineParams field, for every flag that takes a hyperparameter value
+FLAG_FIELDS = {
+    "kfg": "k_fg",
+    "kbg": "k_bg",
+    "alpha": "alpha",
+    "threshold": "threshold",
+    "epochs": "epochs",
+    "lr": "learning_rate",
+    "ema": "ema_momentum",
+    "seed": "seed",
+}
 SWEEPABLE = ("alpha", "kbg", "threshold")
 
 
 @dataclass(frozen=True)
-class PipelineParams:
+class PipelineParams(TrainConfig):
+    """Every hyperparameter of the chain with its default and its range; the
+    training fields and their checks come from TrainConfig."""
+
     k_fg: int = 2
     k_bg: int = 2
     alpha: float = 0.40
     threshold: float = 0.30
-    epochs: int = 40
-    learning_rate: float = 1e-3
-    ema_momentum: float = 0.99
-    seed: int = 0
-    complement: bool = True
-    certainty_weighting: bool = True
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self._set_whole("k_fg", 1)
+        self._set_whole("k_bg", 1)
+        if not (0.0 < self.alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not (0.0 <= self.threshold <= 1.0):
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs,
-            learning_rate=self.learning_rate,
-            ema_momentum=self.ema_momentum,
-            seed=self.seed,
-            complement=self.complement,
-            certainty_weighting=self.certainty_weighting,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 @dataclass(frozen=True)
@@ -113,18 +123,6 @@ def run_pipeline(
     )
 
 
-def _with_value(params: PipelineParams, name: str, value: float) -> PipelineParams:
-    if name == "alpha":
-        return replace(params, alpha=float(value))
-    if name == "kbg":
-        if not float(value).is_integer():
-            raise ValueError(f"kbg must be a whole number, got {value}")
-        return replace(params, k_bg=int(value))
-    if name == "threshold":
-        return replace(params, threshold=float(value))
-    raise ValueError(f"unknown sweep parameter {name!r}; choose from {SWEEPABLE}")
-
-
 def sweep(
     manifest: DatasetManifest,
     features: Mapping[str, FeatureMap],
@@ -136,10 +134,13 @@ def sweep(
 ) -> list[dict]:
     """One pipeline run per value; rows carry final mIoU/FP/FN and, when
     ground truth is available, the mean selection accuracy over classes."""
+    if param not in SWEEPABLE:
+        raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
     base = base or PipelineParams()
+    # build every run's parameters first, so an invalid value fails before any run
+    runs = [(value, replace(base, **{FLAG_FIELDS[param]: value})) for value in values]
     rows = []
-    for value in values:
-        params = _with_value(base, param, value)
+    for value, params in runs:
         result = run_pipeline(manifest, features, pseudo_labels, params, ground_truth)
         row: dict = {"param": param, "value": value}
         if result.report is not None:

@@ -113,7 +113,6 @@ class SynthRecord:
     pseudo_label: LabelMap
     gt: LabelMap
     biased_mask: np.ndarray
-    class_prototypes: Mapping[int, np.ndarray]
 
     @property
     def image_id(self) -> str:
@@ -134,9 +133,6 @@ class SynthCorpus:
 
     def ground_truth(self) -> dict[str, LabelMap]:
         return {r.image_id: r.gt for r in self.records}
-
-    def bias_masks(self) -> dict[str, np.ndarray]:
-        return {r.image_id: r.biased_mask for r in self.records}
 
 
 def oracle_biased_pixels(record: SynthRecord) -> np.ndarray:
@@ -420,7 +416,6 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
                 pseudo_label=pseudo_map,
                 gt=gt_map,
                 biased_mask=biased_mask,
-                class_prototypes=dict(protos.targets),
             )
         )
 

@@ -10,17 +10,14 @@ the teacher absorbs it through an exponential moving average.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import formats
-from .core import DatasetManifest, FeatureMap, LabelMap
-from .evaluation import ConfusionMatrix, accumulate, report
-
-logger = logging.getLogger(__name__)
+from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
+from .evaluation import evaluate_predictions
 
 LOG_CLAMP = 1e-12
 
@@ -62,19 +59,15 @@ class SegHead:
             object.__setattr__(self, name, arr)
 
     @property
-    def num_channels(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def embedding_dim(self) -> int:
         return self.weights.shape[1]
 
     @classmethod
-    def initialize(cls, num_classes: int, embedding_dim: int, rng, scale: float = 0.01) -> "SegHead":
-        """Small random weights, zero bias; rng may be a seed or a Generator."""
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        weights = rng.normal(0.0, scale, size=(num_classes + 1, embedding_dim))
+    def initialize(
+        cls, num_classes: int, embedding_dim: int, rng: np.random.Generator
+    ) -> "SegHead":
+        """Small random weights, zero bias."""
+        weights = rng.normal(0.0, 0.01, size=(num_classes + 1, embedding_dim))
         return cls(weights=weights, bias=np.zeros(num_classes + 1))
 
 
@@ -88,12 +81,19 @@ class TrainConfig:
     certainty_weighting: bool = True
 
     def __post_init__(self) -> None:
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+        self._set_whole("epochs", 0)
         if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not (0.0 <= self.ema_momentum < 1.0):
-            raise ValueError("ema_momentum must lie in [0, 1)")
+            raise ValueError(f"ema_momentum must lie in [0, 1), got {self.ema_momentum}")
+        self._set_whole("seed", 0)
+
+    def _set_whole(self, name: str, minimum: int) -> None:
+        """Store the field as an int; it must be a whole number >= minimum."""
+        value = getattr(self, name)
+        if not (float(value).is_integer() and value >= minimum):
+            raise ValueError(f"{name} must be a whole number >= {minimum}, got {value}")
+        object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -224,13 +224,22 @@ def _excluded_sentinel_target(ydb: LabelMap) -> tuple[LabelMap, np.ndarray]:
     return LabelMap(labels, ydb.num_classes), weights
 
 
+def _predict(
+    head: SegHead, records: Sequence[ImageRecord], features: Mapping[str, FeatureMap]
+) -> dict[str, LabelMap]:
+    return {
+        r.image_id: teacher_label(forward(head, features[r.image_id]), r.truth_classes)
+        for r in records
+    }
+
+
 def train(
     manifest: DatasetManifest,
     debiased_labels: Mapping[str, LabelMap],
     config: TrainConfig,
     *,
-    features: Optional[Mapping[str, FeatureMap]] = None,
-    ground_truth: Optional[Mapping[str, LabelMap]] = None,
+    features: Mapping[str, FeatureMap],
+    ground_truth: Mapping[str, LabelMap],
 ) -> TrainResult:
     """Run the full teacher-student loop and return the final heads.
 
@@ -238,10 +247,6 @@ def train(
     initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged
     whenever ground truth covers every record.
     """
-    if features is None:
-        features = formats.load_features(manifest)
-    if ground_truth is None:
-        ground_truth = formats.load_ground_truth(manifest)
     for record in manifest.records:
         if record.image_id not in debiased_labels:
             raise ValueError(f"missing debiased label for {record.image_id}")
@@ -251,8 +256,10 @@ def train(
     teacher = student
     records = manifest.records
     have_gt = all(r.image_id in ground_truth for r in records) and len(records) > 0
+    truth = {r.image_id: ground_truth[r.image_id] for r in records} if have_gt else {}
 
     metrics: list[EpochMetrics] = []
+    predictions: Optional[dict[str, LabelMap]] = None
     for epoch in range(config.epochs):
         order = rng.permutation(len(records))
         epoch_loss = 0.0
@@ -286,21 +293,16 @@ def train(
             epoch_loss += loss
 
         if have_gt:
-            cm = ConfusionMatrix.empty(manifest.num_classes)
-            for record in records:
-                pred = teacher_label(forward(teacher, features[record.image_id]), record.truth_classes)
-                cm = accumulate(cm, ground_truth[record.image_id], pred)
-            rep = report(cm)
+            predictions = _predict(teacher, records, features)
+            rep = evaluate_predictions(truth, predictions, manifest.num_classes)
             metrics.append(
                 EpochMetrics(epoch, epoch_loss, rep.miou, rep.fp_rate, rep.fn_rate)
             )
         else:
             metrics.append(EpochMetrics(epoch, epoch_loss))
 
-    predictions = {
-        r.image_id: teacher_label(forward(teacher, features[r.image_id]), r.truth_classes)
-        for r in records
-    }
+    if predictions is None:
+        predictions = _predict(teacher, records, features)
     return TrainResult(
         teacher=teacher, student=student, metrics=tuple(metrics), predictions=predictions
     )

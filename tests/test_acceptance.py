@@ -222,7 +222,9 @@ def test_criterion_5_distance_oracle_and_ordering(artifacts):
             background.append(Centroid(v / np.linalg.norm(v), 0, f"b{i}", 0, 1))
         v = rng.normal(size=d)
         probe = Centroid(v / np.linalg.norm(v), 1, "probe", 0, 1)
-        bank = CentroidBank(foreground={1: (probe,)}, background=tuple(background))
+        bank = CentroidBank(
+            foreground={1: (probe,)}, background=tuple(background), k_fg=2, k_bg=2
+        )
         fast = background_distance(probe, bank)
         naive = sum(cosine_distance(probe.vector, b.vector) for b in background) / n_bg
         worst = max(worst, abs(fast - naive))
@@ -325,7 +327,7 @@ def test_criterion_7_determinism_and_formats(artifacts, tmp_path):
 
         vec = rng.normal(size=d + 1)
         centroid = Centroid(vec / np.linalg.norm(vec), 1, f"im{i}", 0, int(rng.integers(1, 99)))
-        bank = CentroidBank(foreground={1: (centroid,)}, background=())
+        bank = CentroidBank(foreground={1: (centroid,)}, background=(), k_fg=2, k_bg=2)
         formats.write_centroid_bank(scratch / "b.bin", bank)
         back = formats.read_centroid_bank(scratch / "b.bin")
         assert np.array_equal(back.foreground[1][0].vector, centroid.vector)

@@ -1,11 +1,15 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from segdebias import formats
 from segdebias.cli import main
+from segdebias.core import DatasetManifest
+from segdebias.pipeline import PipelineParams, run_pipeline
+from segdebias.trainloop import train
 
 
 @pytest.fixture(scope="module")
@@ -167,3 +171,124 @@ def test_debiased_labels_roundtrip_with_sentinel(corpus_dir, tmp_path):
                                        manifest.num_classes)
         total_sentinel += int((label.data == -1).sum())
     assert total_sentinel > 0  # the problematic class planted impostors
+
+
+@pytest.fixture(scope="module")
+def default_chain(corpus_dir, tmp_path_factory):
+    """cluster -> select -> debias -> train with no hyperparameter flags."""
+    out = tmp_path_factory.mktemp("default_chain")
+    manifest = str(corpus_dir / "manifest.jsonl")
+    assert main(["cluster", "--manifest", manifest, "--out", str(out / "bank.bin")]) == 0
+    assert main(["select", "--bank", str(out / "bank.bin"),
+                 "--out", str(out / "centroids.json")]) == 0
+    assert main(["debias", "--manifest", manifest, "--centroids", str(out / "centroids.json"),
+                 "--out", str(out / "debiased")]) == 0
+    assert main(["train", "--manifest", manifest, "--debiased", str(out / "debiased"),
+                 "--out", str(out / "head.bin"), "--log", str(out / "metrics.csv")]) == 0
+    return out
+
+
+def _library_inputs(corpus_dir):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    return (
+        manifest,
+        formats.load_features(manifest),
+        formats.load_pseudo_labels(manifest),
+        formats.load_ground_truth(manifest),
+    )
+
+
+def test_flag_defaults_match_pipeline_params(corpus_dir, default_chain, tmp_path):
+    manifest, features, labels, gts = _library_inputs(corpus_dir)
+    result = run_pipeline(manifest, features, labels, PipelineParams(), gts)
+    formats.write_centroid_bank(tmp_path / "bank.bin", result.bank.canonically_sorted())
+    formats.write_centroid_set(tmp_path / "centroids.json", result.centroid_set)
+    formats.write_checkpoint(tmp_path / "head.bin", result.train_result.teacher)
+    for image_id, label in result.debiased.items():
+        formats.write_label_map(tmp_path / "debiased" / f"{image_id}.bin", label)
+    names = ["bank.bin", "centroids.json", "head.bin"] + [
+        f"debiased/{r.image_id}.bin" for r in manifest.records
+    ]
+    for name in names:
+        assert (default_chain / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_train_ablation_flags_match_pipeline_params(corpus_dir, default_chain, tmp_path):
+    manifest, features, _, gts = _library_inputs(corpus_dir)
+    head = tmp_path / "head.bin"
+    assert main([
+        "train", "--manifest", str(corpus_dir / "manifest.jsonl"),
+        "--debiased", str(default_chain / "debiased"), "--no-complement", "--no-certainty",
+        "--out", str(head), "--log", str(tmp_path / "metrics.csv"),
+    ]) == 0
+    debiased = {
+        r.image_id: formats.read_label_map(
+            default_chain / "debiased" / f"{r.image_id}.bin", manifest.num_classes
+        )
+        for r in manifest.records
+    }
+    params = replace(PipelineParams(), complement=False, certainty_weighting=False)
+    result = train(manifest, debiased, params.train_config(), features=features, ground_truth=gts)
+    formats.write_checkpoint(tmp_path / "expected.bin", result.teacher)
+    assert head.read_bytes() == (tmp_path / "expected.bin").read_bytes()
+    assert head.read_bytes() != (default_chain / "head.bin").read_bytes()
+
+
+_COMMAND_ARGS = {
+    "cluster": ["--manifest", "m.jsonl", "--out", "bank.bin"],
+    "select": ["--bank", "bank.bin", "--out", "c.json"],
+    "debias": ["--manifest", "m.jsonl", "--centroids", "c.json", "--out", "deb"],
+    "train": ["--manifest", "m.jsonl", "--debiased", "deb", "--out", "h.bin", "--log", "l.csv"],
+    "sweep": ["--manifest", "m.jsonl", "--param", "alpha", "--values", "0.4", "--out", "s.csv"],
+}
+_OUT_OF_RANGE = {
+    "kfg": ["0", "1.5"],
+    "kbg": ["0", "1.5"],
+    "alpha": ["0", "1.5"],
+    "threshold": ["-0.1", "1.5"],
+    "epochs": ["-1"],
+    "lr": ["0"],
+    "ema": ["1"],
+    "seed": ["-1"],
+}
+_COMMAND_FLAGS = {
+    "cluster": ["kfg", "kbg", "seed"],
+    "select": ["alpha"],
+    "debias": ["threshold"],
+    "train": ["epochs", "lr", "ema", "seed"],
+    "sweep": list(_OUT_OF_RANGE),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command, flags in _COMMAND_FLAGS.items()
+        for flag in flags
+        for value in _OUT_OF_RANGE[flag]
+    ],
+)
+def test_out_of_range_hyperparameter_flag_is_usage_error(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([command, *_COMMAND_ARGS[command], f"--{flag}", value])
+    assert err.value.code == 2
+    assert f"--{flag}" in capsys.readouterr().err
+
+
+def test_eval_requires_ground_truth_for_every_record(corpus_dir, tmp_path, capsys):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    preds = tmp_path / "preds"
+    for image_id, gt in formats.load_ground_truth(manifest).items():
+        formats.write_label_map(preds / f"{image_id}.bin", gt)
+    first, *rest = manifest.records
+    partial = DatasetManifest(
+        records=(first, *(replace(r, gt_path=None) for r in rest)),
+        num_classes=manifest.num_classes,
+        embedding_dim=manifest.embedding_dim,
+    )
+    formats.write_manifest(tmp_path / "manifest.jsonl", partial)
+    assert main(["eval", "--manifest", str(tmp_path / "manifest.jsonl"), "--pred", str(preds),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    assert rest[0].image_id in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

@@ -133,3 +133,14 @@ def test_evaluate_predictions_and_serialization():
 def test_evaluate_predictions_requires_overlap():
     with pytest.raises(ValueError, match="shared"):
         evaluate_predictions({"a": lmap([[0]], 1)}, {"b": lmap([[0]], 1)}, 1)
+
+
+@pytest.mark.parametrize(
+    "gt_ids, pred_ids, message",
+    [(("a", "b"), ("a",), "b has no prediction"), (("a",), ("a", "b"), "b has no ground truth")],
+)
+def test_evaluate_predictions_rejects_unshared_ids(gt_ids, pred_ids, message):
+    gt = {i: lmap([[0, 1]], 1) for i in gt_ids}
+    pred = {i: lmap([[0, 1]], 1) for i in pred_ids}
+    with pytest.raises(ValueError, match=message):
+        evaluate_predictions(gt, pred, 1)

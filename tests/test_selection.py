@@ -29,6 +29,8 @@ def make_bank(fg_vectors, bg_vectors, d=None):
     return CentroidBank(
         foreground={k: tuple(v) for k, v in foreground.items()},
         background=background,
+        k_fg=2,
+        k_bg=2,
     )
 
 
@@ -64,7 +66,10 @@ class TestBackgroundDistance:
 
     def test_empty_background(self):
         bank = CentroidBank(
-            foreground={1: (Centroid(unit([1, 0]), 1, "a", 0, 1),)}, background=()
+            foreground={1: (Centroid(unit([1, 0]), 1, "a", 0, 1),)},
+            background=(),
+            k_fg=2,
+            k_bg=2,
         )
         with pytest.raises(ValueError, match="no background centroids"):
             background_distance(np.array([1.0, 0.0]), bank)
@@ -116,6 +121,8 @@ class TestSelect:
         bank = CentroidBank(
             foreground={**base.foreground, 2: ()},
             background=base.background,
+            k_fg=2,
+            k_bg=2,
         )
         picked = select_debiased(bank, 0.5)
         assert set(picked.per_class) == {1}
@@ -167,7 +174,7 @@ class TestSelect:
                 Centroid(unit(q @ x.vector), 0, x.image_id, x.cluster_index, 1)
                 for x in bank.background
             )
-            return CentroidBank(foreground=fg, background=bg)
+            return CentroidBank(foreground=fg, background=bg, k_fg=2, k_bg=2)
 
         rotated = rotate(bank)
         base_scores = score_foreground(bank)

@@ -260,6 +260,15 @@ class TestTrain:
         assert set(result.predictions) == {"img"}
         assert not result.predictions["img"].has_sentinel()
 
+    def test_ground_truth_outside_the_manifest_is_ignored(self, tmp_path):
+        manifest, features, debiased, gts = self._setup(tmp_path)
+        config = TrainConfig(epochs=2, seed=0)
+        extra = {**gts, "other": gts["img"]}
+        r1 = train(manifest, debiased, config, features=features, ground_truth=gts)
+        r2 = train(manifest, debiased, config, features=features, ground_truth=extra)
+        assert r1.metrics == r2.metrics
+        assert all(m.miou is not None for m in r2.metrics)
+
     def test_determinism(self, tmp_path):
         manifest, features, debiased, gts = self._setup(tmp_path)
         config = TrainConfig(epochs=4, seed=9)
@@ -288,6 +297,8 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(ema_momentum=1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(seed=-1)
 
 
 def test_metrics_csv_columns(tmp_path):

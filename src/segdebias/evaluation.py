@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "accumulate",
     "report",
     "evaluate_predictions",
+    "require_shared_ids",
     "report_text",
     "report_json",
     "per_class_fp_rows",
@@ -113,14 +114,10 @@ def report(cm: ConfusionMatrix) -> EvalReport:
     )
 
 
-def evaluate_predictions(
-    ground_truth: Mapping[str, LabelMap],
-    predictions: Mapping[str, LabelMap],
-    num_classes: int,
-) -> EvalReport:
-    """Accumulate over every image and report; both mappings must cover the
-    same non-empty set of image ids."""
-    unshared = sorted(set(ground_truth) ^ set(predictions))
+def require_shared_ids(ground_truth: Mapping[str, LabelMap], image_ids: Iterable[str]) -> None:
+    """Raise ValueError naming the first image id that ground truth and the
+    predicted images do not share, or if they share none."""
+    unshared = sorted(set(ground_truth) ^ set(image_ids))
     if unshared:
         lacking = "prediction" if unshared[0] in ground_truth else "ground truth"
         raise ValueError(
@@ -129,6 +126,16 @@ def evaluate_predictions(
         )
     if not ground_truth:
         raise ValueError("no image ids shared between ground truth and predictions")
+
+
+def evaluate_predictions(
+    ground_truth: Mapping[str, LabelMap],
+    predictions: Mapping[str, LabelMap],
+    num_classes: int,
+) -> EvalReport:
+    """Accumulate over every image and report; both mappings must cover the
+    same non-empty set of image ids."""
+    require_shared_ids(ground_truth, predictions)
     cm = ConfusionMatrix.empty(num_classes)
     for image_id in sorted(ground_truth):
         cm = accumulate(cm, ground_truth[image_id], predictions[image_id])

@@ -16,7 +16,7 @@ from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
 from .core import DatasetManifest, FeatureMap, LabelMap
 from .debiasing import debias_image
-from .evaluation import EvalReport, evaluate_predictions
+from .evaluation import EvalReport, evaluate_predictions, require_shared_ids
 from .selection import DebiasedCentroidSet, select_debiased
 from .trainloop import TrainConfig, TrainResult, train
 
@@ -94,6 +94,9 @@ def run_pipeline(
     params: PipelineParams,
     ground_truth: Optional[Mapping[str, LabelMap]] = None,
 ) -> PipelineResult:
+    if ground_truth:
+        # the final evaluation needs ground truth for every record; fail before clustering
+        require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
     bank = build_centroid_bank(
         manifest,
         pseudo_labels,

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segdebias import formats
+from segdebias import bank, formats
 from segdebias.bank import (
     Centroid,
     build_centroid_bank,
@@ -20,6 +22,23 @@ from conftest import random_feature_map
 def unit_cloud(rng, center, n, spread=0.05):
     points = center + spread * rng.normal(size=(n, len(center)))
     return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+def _add_at_normalized_means(vectors, assign, m):
+    """Reference for bank._normalized_means: the per-cluster sums by np.add.at."""
+    counts = np.bincount(assign, minlength=m).astype(np.int64)
+    sums = np.zeros((m, vectors.shape[1]), dtype=np.float64)
+    np.add.at(sums, assign, vectors)
+    norms = np.linalg.norm(sums, axis=1)
+    means = np.zeros_like(sums)
+    for j in range(m):
+        if counts[j] == 0:
+            continue
+        if norms[j] > 0.0:
+            means[j] = sums[j] / norms[j]
+        else:
+            means[j] = vectors[int(np.argmax(assign == j))]
+    return means, counts
 
 
 class TestDecompose:
@@ -112,6 +131,37 @@ class TestKMeans:
         result = kmeans_spherical(vectors, k, seed=seed)
         trace = result.objective_trace
         assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
+
+    def test_cancelled_sum_falls_back_to_first_member(self):
+        result = kmeans_spherical(np.array([[1.0, 0.0], [-1.0, 0.0]]), 1, seed=0)
+        assert result.centroids.tolist() == [[1.0, 0.0]]
+        assert result.counts.tolist() == [2]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 4),
+        st.integers(1, 4096),
+        st.sampled_from([0.0, 0.3, 3.0]),
+        st.booleans(),
+    )
+    @example(seed=0, k=2, n=4096, spread=3.0, fortran=True)
+    @settings(max_examples=30, deadline=None)
+    def test_bit_identical_to_add_at_reference(self, seed, k, n, spread, fortran):
+        # n=4096 at D=128 is a size where summing by a one-hot matrix product
+        # already differs from np.add.at in the last bits
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(4, 128))
+        points = centers[rng.integers(4, size=n)] + spread * rng.normal(size=(n, 128))
+        vectors = points / np.linalg.norm(points, axis=1, keepdims=True)
+        if fortran:  # the layout decompose_class_vectors produces
+            vectors = np.asfortranarray(vectors)
+        result = kmeans_spherical(vectors, k, seed=seed)
+        with mock.patch.object(bank, "_normalized_means", _add_at_normalized_means):
+            reference = kmeans_spherical(vectors, k, seed=seed)
+        assert np.array_equal(result.centroids, reference.centroids)
+        assert np.array_equal(result.counts, reference.counts)
+        assert np.array_equal(result.assignments, reference.assignments)
+        assert result.objective_trace == reference.objective_trace
 
     def test_empty_input(self):
         result = kmeans_spherical(np.zeros((0, 4)), 2, seed=0)

@@ -2,7 +2,8 @@ from dataclasses import fields, replace
 
 import pytest
 
-from segdebias.pipeline import PipelineParams
+from segdebias import pipeline
+from segdebias.pipeline import PipelineParams, run_pipeline
 from segdebias.trainloop import TrainConfig
 
 
@@ -41,3 +42,32 @@ def test_train_config_carries_the_training_fields():
     config = params.train_config()
     assert type(config) is TrainConfig
     assert all(getattr(config, f.name) == getattr(params, f.name) for f in fields(TrainConfig))
+
+
+def _only_first(truth):
+    return {"img_0000": truth["img_0000"]}
+
+
+def _one_extra(truth):
+    return {**truth, "img_9999": truth["img_0000"]}
+
+
+@pytest.mark.parametrize(
+    "ground_truth, message",
+    [(_only_first, "img_0001 has no ground truth"), (_one_extra, "img_9999 has no prediction")],
+)
+def test_unshared_ground_truth_fails_before_clustering(
+    standard_corpus, monkeypatch, ground_truth, message
+):
+    def build_centroid_bank(*args, **kwargs):
+        pytest.fail("clustered although ground truth does not match the manifest")
+
+    monkeypatch.setattr(pipeline, "build_centroid_bank", build_centroid_bank)
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(
+            standard_corpus.manifest,
+            standard_corpus.features(),
+            standard_corpus.pseudo_labels(),
+            PipelineParams(),
+            ground_truth(standard_corpus.ground_truth()),
+        )

@@ -119,7 +119,10 @@ def _cmd_debias(args) -> int:
     for record in manifest.records:
         fmap = formats.read_feature_map(record.feature_path)
         pseudo = formats.read_label_map(record.label_path, manifest.num_classes)
-        debiased = debias_image(fmap, pseudo, cset, record.truth_classes, args.threshold)
+        try:
+            debiased = debias_image(fmap, pseudo, cset, record.truth_classes, args.threshold)
+        except ValueError as exc:
+            raise ValueError(f"{record.image_id}: {exc}") from exc
         rewritten += int((debiased.data == -1).sum())
         formats.write_label_map(out_dir / f"{record.image_id}.bin", debiased)
     print(f"wrote {len(manifest.records)} debiased labels ({rewritten} pixels rewritten)")

@@ -40,7 +40,7 @@ def similarity_map(
     if skipped:
         logger.warning("no debiased centroid for classes %s; skipping them", skipped)
     if not usable:
-        raise ValueError("no usable centroids")
+        raise ValueError(f"no usable centroids: none for truth classes {truth}")
 
     d, h, w = fmap.data.shape
     flat = fmap.data.reshape(d, h * w).astype(np.float64)

@@ -61,19 +61,23 @@ class ConfusionMatrix:
         return ConfusionMatrix(self.counts + other.counts)
 
 
-def accumulate(cm: ConfusionMatrix, gt: LabelMap, pred: LabelMap) -> ConfusionMatrix:
-    """Add one image's gt/pred pixel tally; gt == -1 pixels are skipped."""
+def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
+    """One image's (C+1, C+1) gt/pred pixel counts; gt == -1 pixels are skipped."""
     if gt.spatial_shape != pred.spatial_shape:
         raise ValueError(f"gt shape {gt.spatial_shape} != pred shape {pred.spatial_shape}")
     if pred.has_sentinel():
         raise ValueError("prediction must not contain -1")
-    k = cm.num_classes + 1
-    if gt.num_classes > cm.num_classes or pred.num_classes > cm.num_classes:
+    k = num_classes + 1
+    if gt.num_classes > num_classes or pred.num_classes > num_classes:
         raise ValueError("label num_classes exceeds confusion matrix size")
     valid = gt.data != -1
     flat = gt.data[valid].astype(np.int64) * k + pred.data[valid].astype(np.int64)
-    tally = np.bincount(flat, minlength=k * k).reshape(k, k)
-    return ConfusionMatrix(cm.counts + tally)
+    return np.bincount(flat, minlength=k * k).reshape(k, k)
+
+
+def accumulate(cm: ConfusionMatrix, gt: LabelMap, pred: LabelMap) -> ConfusionMatrix:
+    """Add one image's gt/pred pixel tally; gt == -1 pixels are skipped."""
+    return ConfusionMatrix(cm.counts + _tally(gt, pred, cm.num_classes))
 
 
 @dataclass(frozen=True)
@@ -136,10 +140,10 @@ def evaluate_predictions(
     """Accumulate over every image and report; both mappings must cover the
     same non-empty set of image ids."""
     require_shared_ids(ground_truth, predictions)
-    cm = ConfusionMatrix.empty(num_classes)
+    counts = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
     for image_id in sorted(ground_truth):
-        cm = accumulate(cm, ground_truth[image_id], predictions[image_id])
-    return report(cm)
+        counts += _tally(ground_truth[image_id], predictions[image_id], num_classes)
+    return report(ConfusionMatrix(counts))
 
 
 def report_text(rep: EvalReport) -> str:

@@ -192,7 +192,11 @@ def read_centroid_bank(path):
         cluster_index = r.u32("cluster_index")
         member_count = r.u32("member_count")
         id_len = r.u32("id_len")
-        image_id = r.take(id_len, "image id").decode("utf-8")
+        id_offset = r.offset
+        try:
+            image_id = r.take(id_len, "image id").decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("image id is not valid utf-8", id_offset) from None
         vec = np.frombuffer(r.take(d * 8, "centroid vector"), dtype="<f8")
         c = Centroid(
             vector=vec,

@@ -75,16 +75,19 @@ def debias_all(
     centroid_set: DebiasedCentroidSet,
     threshold: float,
 ) -> dict[str, LabelMap]:
-    return {
-        r.image_id: debias_image(
-            features[r.image_id],
-            pseudo_labels[r.image_id],
-            centroid_set,
-            r.truth_classes,
-            threshold,
-        )
-        for r in manifest.records
-    }
+    out = {}
+    for r in manifest.records:
+        try:
+            out[r.image_id] = debias_image(
+                features[r.image_id],
+                pseudo_labels[r.image_id],
+                centroid_set,
+                r.truth_classes,
+                threshold,
+            )
+        except ValueError as exc:
+            raise ValueError(f"{r.image_id}: {exc}") from exc
+    return out
 
 
 def run_pipeline(

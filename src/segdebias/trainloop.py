@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import formats
-from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
+from .core import DatasetManifest, FeatureMap, LabelMap
 from .evaluation import evaluate_predictions
 
 LOG_CLAMP = 1e-12
@@ -50,8 +50,7 @@ class SegHead:
         bias = np.asarray(self.bias, dtype=np.float64)
         if weights.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weights.shape[0]:
             raise ValueError("head must be (C+1, D) weights with a (C+1,) bias")
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise ValueError("head parameters must be finite")
+        _require_finite(weights, bias)
         for arr, name in ((weights, "weights"), (bias, "bias")):
             if arr.flags.writeable:
                 arr = arr.copy()
@@ -113,30 +112,80 @@ class TrainResult:
     predictions: Mapping[str, LabelMap]
 
 
-def forward(head: SegHead, fmap: FeatureMap) -> np.ndarray:
-    """Per-pixel softmax probabilities, shape (C+1, H, W), channel 0 = background."""
-    if head.embedding_dim != fmap.embedding_dim:
-        raise ValueError(
-            f"head dim {head.embedding_dim} != feature dim {fmap.embedding_dim}"
-        )
-    logits = np.tensordot(head.weights, fmap.data.astype(np.float64), axes=([1], [0]))
-    logits += head.bias[:, None, None]
+def _flat64(fmap: FeatureMap) -> np.ndarray:
+    """The map's one float64 cast, as a (D, H*W) array."""
+    return fmap.data.reshape(fmap.embedding_dim, -1).astype(np.float64)
+
+
+def _softmax(weights: np.ndarray, bias: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """(C+1, N) softmax of weights @ flat + bias over the channel axis."""
+    logits = np.dot(weights, flat)
+    logits += bias[:, None]
     logits -= logits.max(axis=0, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=0, keepdims=True)
     return logits
 
 
+def _gradient(
+    probs: np.ndarray, flat: np.ndarray, labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weight and bias gradient of the weighted cross-entropy; overwrites probs."""
+    probs[labels, np.arange(labels.size)] -= 1.0
+    probs *= weights
+    return np.dot(probs, flat.T), probs.sum(axis=1)
+
+
+def _wce(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
+    picked = probs[labels, np.arange(labels.size)]
+    return float(np.sum(weights * -np.log(np.maximum(picked, LOG_CLAMP))))
+
+
+def _allowed_classes(truth_classes: Iterable[int], num_classes: int) -> np.ndarray:
+    """{0} plus the truth classes in range, ascending, as int16."""
+    truth = {int(c) for c in truth_classes if 1 <= int(c) <= num_classes}
+    return np.asarray([0] + sorted(truth), dtype=np.int16)
+
+
+def _restricted_argmax(probs: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    return allowed[np.argmax(probs[allowed], axis=0)]
+
+
+def _foreground_classes(truth_classes: Iterable[int], num_classes: int) -> list[int]:
+    fg = sorted({int(c) for c in truth_classes})
+    if any(c < 1 or c > num_classes for c in fg):
+        raise ValueError(f"truth classes must lie in [1, {num_classes}]")
+    if not fg:
+        raise ValueError("truth_classes must be non-empty")
+    return fg
+
+
+def _certainty(sentinel: np.ndarray, probs: np.ndarray, fg: list[int]) -> np.ndarray:
+    return np.where(sentinel, probs[fg].max(axis=0), 1.0)
+
+
+def _require_finite(weights: np.ndarray, bias: np.ndarray) -> None:
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValueError("head parameters must be finite")
+
+
+def _check_dim(head_dim: int, fmap: FeatureMap) -> None:
+    if head_dim != fmap.embedding_dim:
+        raise ValueError(f"head dim {head_dim} != feature dim {fmap.embedding_dim}")
+
+
+def forward(head: SegHead, fmap: FeatureMap) -> np.ndarray:
+    """Per-pixel softmax probabilities, shape (C+1, H, W), channel 0 = background."""
+    _check_dim(head.embedding_dim, fmap)
+    probs = _softmax(head.weights, head.bias, _flat64(fmap))
+    return probs.reshape(-1, *fmap.spatial_shape)
+
+
 def teacher_label(probs: np.ndarray, truth_classes: Iterable[int]) -> LabelMap:
     """Argmax restricted to {0} plus the truth classes, ties to the smallest index."""
     probs = np.asarray(probs)
     num_classes = probs.shape[0] - 1
-    allowed = [0] + sorted(
-        {int(c) for c in truth_classes if 1 <= int(c) <= num_classes}
-    )
-    sub = probs[allowed]
-    winners = np.argmax(sub, axis=0)
-    labels = np.asarray(allowed, dtype=np.int16)[winners]
+    labels = _restricted_argmax(probs, _allowed_classes(truth_classes, num_classes))
     return LabelMap(labels, num_classes)
 
 
@@ -148,14 +197,8 @@ def certainty_mask(
     teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
     if teacher_probs.shape[1:] != ydb.spatial_shape:
         raise ValueError("probability map and label dims differ")
-    num_classes = teacher_probs.shape[0] - 1
-    fg = sorted({int(c) for c in truth_classes})
-    if any(c < 1 or c > num_classes for c in fg):
-        raise ValueError(f"truth classes must lie in [1, {num_classes}]")
-    if not fg:
-        raise ValueError("truth_classes must be non-empty")
-    confidence = teacher_probs[fg].max(axis=0)
-    return np.where(ydb.data == -1, confidence, 1.0)
+    fg = _foreground_classes(truth_classes, teacher_probs.shape[0] - 1)
+    return _certainty(ydb.data == -1, teacher_probs, fg)
 
 
 def complement_label(ydb: LabelMap, yte: LabelMap) -> LabelMap:
@@ -168,11 +211,6 @@ def complement_label(ydb: LabelMap, yte: LabelMap) -> LabelMap:
     return LabelMap(out, ydb.num_classes)
 
 
-def _picked_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    h, w = labels.shape
-    return probs[labels, np.arange(h)[:, None], np.arange(w)[None, :]]
-
-
 def wce_loss(probs: np.ndarray, yco: LabelMap, weights: np.ndarray) -> float:
     """Sum over pixels of w * -log p(assigned class); log clamped at 1e-12."""
     probs = np.asarray(probs, dtype=np.float64)
@@ -181,28 +219,20 @@ def wce_loss(probs: np.ndarray, yco: LabelMap, weights: np.ndarray) -> float:
         raise ValueError("complemented label must not contain -1")
     if probs.shape[1:] != yco.spatial_shape or weights.shape != yco.spatial_shape:
         raise ValueError("probability map, label, and weight dims differ")
-    picked = _picked_probs(probs, yco.data.astype(np.int64))
-    return float(np.sum(weights * -np.log(np.maximum(picked, LOG_CLAMP))))
-
-
-def _head_gradient(
-    probs: np.ndarray, fmap: FeatureMap, yco: LabelMap, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    grad_logits = np.array(probs, dtype=np.float64)
-    labels = yco.data.astype(np.int64)
-    h, w = labels.shape
-    grad_logits[labels, np.arange(h)[:, None], np.arange(w)[None, :]] -= 1.0
-    grad_logits *= np.asarray(weights, dtype=np.float64)
-    grad_w = np.tensordot(grad_logits, fmap.data.astype(np.float64), axes=([1, 2], [1, 2]))
-    grad_b = grad_logits.sum(axis=(1, 2))
-    return grad_w, grad_b
+    return _wce(probs.reshape(probs.shape[0], -1), yco.data.ravel(), weights.ravel())
 
 
 def wce_gradient(
     head: SegHead, fmap: FeatureMap, yco: LabelMap, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of wce_loss w.r.t. (weights, bias) through the softmax."""
-    return _head_gradient(forward(head, fmap), fmap, yco, weights)
+    _check_dim(head.embedding_dim, fmap)
+    weights = np.asarray(weights, dtype=np.float64)
+    if fmap.spatial_shape != yco.spatial_shape or weights.shape != yco.spatial_shape:
+        raise ValueError("feature map, label, and weight dims differ")
+    flat = _flat64(fmap)
+    probs = _softmax(head.weights, head.bias, flat)
+    return _gradient(probs, flat, yco.data.ravel(), weights.ravel())
 
 
 def ema_update(teacher: SegHead, student: SegHead, momentum: float) -> SegHead:
@@ -217,20 +247,90 @@ def ema_update(teacher: SegHead, student: SegHead, momentum: float) -> SegHead:
     )
 
 
-def _excluded_sentinel_target(ydb: LabelMap) -> tuple[LabelMap, np.ndarray]:
-    """No-complement ablation: sentinel pixels get weight 0 and a dummy class."""
-    weights = (ydb.data != -1).astype(np.float64)
-    labels = np.where(ydb.data == -1, 0, ydb.data).astype(np.int16)
-    return LabelMap(labels, ydb.num_classes), weights
+@dataclass(frozen=True, slots=True)
+class _Target:
+    """What one record contributes to every step: its map, its flat debiased
+    label and the class sets the teacher may use."""
+
+    image_id: str
+    fmap: FeatureMap
+    labels: np.ndarray
+    allowed: np.ndarray
+    foreground: list[int]
+
+
+def _targets(
+    manifest: DatasetManifest,
+    debiased_labels: Mapping[str, LabelMap],
+    features: Mapping[str, FeatureMap],
+) -> list[_Target]:
+    """Check every record once and precompute its per-step constants."""
+    targets = []
+    for record in manifest.records:
+        if record.image_id not in debiased_labels:
+            raise ValueError(f"missing debiased label for {record.image_id}")
+        fmap = features[record.image_id]
+        ydb = debiased_labels[record.image_id]
+        _check_dim(manifest.embedding_dim, fmap)
+        if ydb.spatial_shape != fmap.spatial_shape:
+            raise ValueError(
+                f"{record.image_id}: debiased label dims {ydb.spatial_shape} != "
+                f"feature dims {fmap.spatial_shape}"
+            )
+        targets.append(
+            _Target(
+                image_id=record.image_id,
+                fmap=fmap,
+                labels=ydb.data.ravel(),
+                allowed=_allowed_classes(record.truth_classes, manifest.num_classes),
+                foreground=_foreground_classes(record.truth_classes, manifest.num_classes),
+            )
+        )
+    return targets
 
 
 def _predict(
-    head: SegHead, records: Sequence[ImageRecord], features: Mapping[str, FeatureMap]
+    weights: np.ndarray, bias: np.ndarray, targets: Sequence[_Target], num_classes: int
 ) -> dict[str, LabelMap]:
-    return {
-        r.image_id: teacher_label(forward(head, features[r.image_id]), r.truth_classes)
-        for r in records
-    }
+    predictions = {}
+    for t in targets:
+        probs = _softmax(weights, bias, _flat64(t.fmap))
+        labels = _restricted_argmax(probs, t.allowed).reshape(t.fmap.spatial_shape)
+        predictions[t.image_id] = LabelMap(labels, num_classes)
+    return predictions
+
+
+def _step(
+    t: _Target,
+    student_w: np.ndarray,
+    student_b: np.ndarray,
+    teacher_w: np.ndarray,
+    teacher_b: np.ndarray,
+    config: TrainConfig,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The student's weighted cross-entropy on one image and its gradient.
+
+    The map is cast to float64 once, for the teacher, the student and the
+    gradient; the copy and every per-pixel temporary die when this returns,
+    before the next map is cast.
+    """
+    flat = _flat64(t.fmap)
+    sentinel = t.labels == -1
+    if config.complement:
+        teacher_probs = _softmax(teacher_w, teacher_b, flat)
+        filled = _restricted_argmax(teacher_probs, t.allowed)
+        labels = np.where(sentinel, filled, t.labels)
+        if config.certainty_weighting:
+            weights = _certainty(sentinel, teacher_probs, t.foreground)
+        else:
+            weights = np.ones(labels.size)
+        del teacher_probs
+    else:  # sentinel pixels get weight 0 and a dummy class
+        labels = np.where(sentinel, 0, t.labels)
+        weights = (~sentinel).astype(np.float64)
+    probs = _softmax(student_w, student_b, flat)
+    loss = _wce(probs, labels, weights)
+    return (loss, *_gradient(probs, flat, labels, weights))
 
 
 def train(
@@ -247,53 +347,38 @@ def train(
     initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged
     whenever ground truth covers every record.
     """
-    for record in manifest.records:
-        if record.image_id not in debiased_labels:
-            raise ValueError(f"missing debiased label for {record.image_id}")
-
+    targets = _targets(manifest, debiased_labels, features)
     rng = np.random.default_rng(config.seed)
-    student = SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
-    teacher = student
+    initial = SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
+    student_w, student_b = teacher_w, teacher_b = initial.weights, initial.bias
     records = manifest.records
     have_gt = all(r.image_id in ground_truth for r in records) and len(records) > 0
     truth = {r.image_id: ground_truth[r.image_id] for r in records} if have_gt else {}
+    lr, momentum = config.learning_rate, config.ema_momentum
 
     metrics: list[EpochMetrics] = []
     predictions: Optional[dict[str, LabelMap]] = None
     for epoch in range(config.epochs):
+        predictions = None  # the last epoch's labels are not kept while new ones are made
         order = rng.permutation(len(records))
         epoch_loss = 0.0
         for idx in order:
-            record = records[int(idx)]
-            fmap = features[record.image_id]
-            ydb = debiased_labels[record.image_id]
-            if config.complement:
-                teacher_probs = forward(teacher, fmap)
-                yte = teacher_label(teacher_probs, record.truth_classes)
-                yco = complement_label(ydb, yte)
-                if config.certainty_weighting:
-                    weights = certainty_mask(ydb, teacher_probs, record.truth_classes)
-                else:
-                    weights = np.ones(ydb.spatial_shape, dtype=np.float64)
-            else:
-                yco, weights = _excluded_sentinel_target(ydb)
-
-            probs = forward(student, fmap)
-            loss = wce_loss(probs, yco, weights)
+            t = targets[int(idx)]
+            loss, grad_w, grad_b = _step(t, student_w, student_b, teacher_w, teacher_b, config)
             if not np.isfinite(loss):
                 raise RuntimeError(
-                    f"non-finite loss {loss} at epoch {epoch}, image {record.image_id}"
+                    f"non-finite loss {loss} at epoch {epoch}, image {t.image_id}"
                 )
-            grad_w, grad_b = _head_gradient(probs, fmap, yco, weights)
-            student = SegHead(
-                weights=student.weights - config.learning_rate * grad_w,
-                bias=student.bias - config.learning_rate * grad_b,
-            )
-            teacher = ema_update(teacher, student, config.ema_momentum)
+            student_w = student_w - lr * grad_w
+            student_b = student_b - lr * grad_b
+            _require_finite(student_w, student_b)
+            teacher_w = momentum * teacher_w + (1.0 - momentum) * student_w
+            teacher_b = momentum * teacher_b + (1.0 - momentum) * student_b
+            _require_finite(teacher_w, teacher_b)
             epoch_loss += loss
 
         if have_gt:
-            predictions = _predict(teacher, records, features)
+            predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
             rep = evaluate_predictions(truth, predictions, manifest.num_classes)
             metrics.append(
                 EpochMetrics(epoch, epoch_loss, rep.miou, rep.fp_rate, rep.fn_rate)
@@ -302,9 +387,12 @@ def train(
             metrics.append(EpochMetrics(epoch, epoch_loss))
 
     if predictions is None:
-        predictions = _predict(teacher, records, features)
+        predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
     return TrainResult(
-        teacher=teacher, student=student, metrics=tuple(metrics), predictions=predictions
+        teacher=SegHead(teacher_w, teacher_b),
+        student=SegHead(student_w, student_b),
+        metrics=tuple(metrics),
+        predictions=predictions,
     )
 
 

@@ -9,6 +9,7 @@ from segdebias import formats
 from segdebias.cli import main
 from segdebias.core import DatasetManifest
 from segdebias.pipeline import PipelineParams, run_pipeline
+from segdebias.selection import DebiasedCentroidSet
 from segdebias.trainloop import train
 
 
@@ -292,3 +293,15 @@ def test_eval_requires_ground_truth_for_every_record(corpus_dir, tmp_path, capsy
                  "--out", str(tmp_path / "report.json")]) == 1
     assert rest[0].image_id in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_debias_without_centroid_is_nonzero_and_names_the_image(corpus_dir, tmp_path, capsys):
+    manifest_path = corpus_dir / "manifest.jsonl"
+    first = formats.read_manifest(manifest_path).records[0]
+    empty = tmp_path / "centroids.json"
+    formats.write_centroid_set(empty, DebiasedCentroidSet({}, alpha=0.4, selected_counts={}))
+    assert main(["debias", "--manifest", str(manifest_path), "--centroids", str(empty),
+                 "--out", str(tmp_path / "debiased")]) == 1
+    err = capsys.readouterr().err
+    assert f"{first.image_id}: no usable centroids" in err
+    assert f"truth classes {sorted(first.truth_classes)}" in err

@@ -107,6 +107,54 @@ def test_truncated_payload_reports_offset(tmp_path):
         formats.read_feature_map(path)
 
 
+def _one_of_each_format(tmp_path):
+    """(path, reader) for a small file of each binary format."""
+    rng = np.random.default_rng(3)
+    fmap = FeatureMap(rng.normal(size=(2, 3, 4)).astype(np.float32) + 5.0)
+    label = LabelMap(rng.integers(-1, 3, size=(3, 4)).astype(np.int16), 2)
+    centroids = tuple(
+        Centroid(random_unit(rng, 3), 1, image_id, 0, 4) for image_id in ("img_0", "im\u00e9")
+    )
+    bank = CentroidBank(foreground={1: centroids}, background=(), k_fg=2, k_bg=2)
+    head = SegHead(weights=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
+    files = [
+        ("f.bin", formats.write_feature_map, fmap, formats.read_feature_map),
+        ("l.bin", formats.write_label_map, label, formats.read_label_map),
+        ("b.bin", formats.write_centroid_bank, bank, formats.read_centroid_bank),
+        ("h.bin", formats.write_checkpoint, head, formats.read_checkpoint),
+    ]
+    out = []
+    for name, write, value, read in files:
+        write(tmp_path / name, value)
+        out.append((tmp_path / name, read))
+    return out
+
+
+def test_every_truncation_is_a_format_error(tmp_path):
+    for path, read in _one_of_each_format(tmp_path):
+        blob = path.read_bytes()
+        read(path)
+        for end in range(len(blob)):
+            path.write_bytes(blob[:end])
+            with pytest.raises(formats.FormatError):
+                read(path)
+
+
+def test_undecodable_image_id_is_a_format_error(tmp_path):
+    centroid = Centroid(random_unit(np.random.default_rng(4), 3), 1, "img_0", 0, 4)
+    bank = CentroidBank(foreground={1: (centroid,)}, background=(), k_fg=2, k_bg=2)
+    path = tmp_path / "b.bin"
+    formats.write_centroid_bank(path, bank)
+    blob = bytearray(path.read_bytes())
+    id_offset = 8 + 16 + 16  # magic, header, first record's fixed fields
+    assert blob[id_offset : id_offset + 5] == b"img_0"
+    blob[id_offset] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(formats.FormatError, match="utf-8") as err:
+        formats.read_centroid_bank(path)
+    assert err.value.offset == id_offset
+
+
 def test_trailing_bytes_rejected(tmp_path):
     lmap = LabelMap(np.zeros((2, 2), dtype=np.int16), 1)
     path = tmp_path / "x.bin"

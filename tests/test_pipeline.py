@@ -1,9 +1,11 @@
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from segdebias import pipeline
-from segdebias.pipeline import PipelineParams, run_pipeline
+from segdebias.pipeline import PipelineParams, debias_all, run_pipeline
+from segdebias.selection import DebiasedCentroidSet
 from segdebias.trainloop import TrainConfig
 
 
@@ -70,4 +72,21 @@ def test_unshared_ground_truth_fails_before_clustering(
             standard_corpus.pseudo_labels(),
             PipelineParams(),
             ground_truth(standard_corpus.ground_truth()),
+        )
+
+
+def test_debias_without_centroid_names_the_image(standard_corpus, standard_centroids):
+    only_1 = DebiasedCentroidSet(
+        per_class={1: standard_centroids.per_class[1]}, alpha=0.4, selected_counts={1: 1}
+    )
+    first = next(r for r in standard_corpus.manifest.records if 1 not in r.truth_classes)
+    uncovered = sorted(first.truth_classes)
+    message = f"{first.image_id}: no usable centroids: none for truth classes {uncovered}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        debias_all(
+            standard_corpus.manifest,
+            standard_corpus.features(),
+            standard_corpus.pseudo_labels(),
+            only_1,
+            0.30,
         )

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from segdebias.core import LabelMap
+from segdebias.core import DatasetManifest, ImageRecord, LabelMap
+from segdebias.evaluation import ConfusionMatrix, accumulate, report
 from segdebias.trainloop import (
     SegHead,
     TrainConfig,
@@ -286,9 +289,27 @@ class TestTrain:
         manifest, features, debiased, gts = self._setup(tmp_path)
         import segdebias.trainloop as tl
 
-        monkeypatch.setattr(tl, "wce_loss", lambda *a, **k: float("nan"))
+        monkeypatch.setattr(tl, "_wce", lambda *a, **k: float("nan"))
         with pytest.raises(RuntimeError, match="non-finite loss"):
             train(manifest, debiased, TrainConfig(epochs=1), features=features, ground_truth=gts)
+
+    def test_non_finite_update_aborts(self, tmp_path):
+        manifest, features, debiased, gts = self._setup(tmp_path)
+        config = TrainConfig(epochs=1, learning_rate=float("inf"))
+        with pytest.raises(ValueError, match="head parameters must be finite"):
+            train(manifest, debiased, config, features=features, ground_truth=gts)
+
+    def test_label_shape_mismatch_rejected_before_first_step(self, tmp_path, monkeypatch):
+        manifest, features, debiased, gts = self._setup(tmp_path)
+        import segdebias.trainloop as tl
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the shape check")
+
+        monkeypatch.setattr(tl, "_softmax", no_step)
+        wide = {"img": LabelMap(np.zeros((4, 5), dtype=np.int16), 2)}
+        with pytest.raises(ValueError, match=r"img: debiased label dims \(4, 5\)"):
+            train(manifest, wide, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -310,3 +331,150 @@ def test_metrics_csv_columns(tmp_path):
     assert lines[0] == "epoch,loss,miou,fp,fn"
     assert lines[1].startswith("0,3.5,0.9")
     assert lines[2] == "1,2.0,,,"
+
+
+# -- reference: the per-step training path before the loop ran on raw arrays --------
+
+
+def _ref_forward(head, fmap):
+    logits = np.tensordot(head.weights, fmap.data.astype(np.float64), axes=([1], [0]))
+    logits += head.bias[:, None, None]
+    logits -= logits.max(axis=0, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0, keepdims=True)
+    return logits
+
+
+def _ref_teacher_label(probs, truth_classes):
+    num_classes = probs.shape[0] - 1
+    allowed = [0] + sorted({int(c) for c in truth_classes if 1 <= int(c) <= num_classes})
+    winners = np.argmax(probs[allowed], axis=0)
+    return LabelMap(np.asarray(allowed, dtype=np.int16)[winners], num_classes)
+
+
+def _ref_wce_loss(probs, yco, weights):
+    h, w = yco.spatial_shape
+    labels = yco.data.astype(np.int64)
+    picked = probs[labels, np.arange(h)[:, None], np.arange(w)[None, :]]
+    return float(np.sum(weights * -np.log(np.maximum(picked, 1e-12))))
+
+
+def _ref_gradient(probs, fmap, yco, weights):
+    grad_logits = np.array(probs, dtype=np.float64)
+    h, w = yco.spatial_shape
+    grad_logits[yco.data.astype(np.int64), np.arange(h)[:, None], np.arange(w)[None, :]] -= 1.0
+    grad_logits *= weights
+    grad_w = np.tensordot(grad_logits, fmap.data.astype(np.float64), axes=([1, 2], [1, 2]))
+    return grad_w, grad_logits.sum(axis=(1, 2))
+
+
+def _ref_predict(head, records, features):
+    return {
+        r.image_id: _ref_teacher_label(_ref_forward(head, features[r.image_id]), r.truth_classes)
+        for r in records
+    }
+
+
+def reference_train(manifest, debiased_labels, config, *, features, ground_truth):
+    rng = np.random.default_rng(config.seed)
+    student = SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
+    teacher = student
+    records = manifest.records
+    have_gt = all(r.image_id in ground_truth for r in records) and len(records) > 0
+    metrics, predictions = [], None
+    for epoch in range(config.epochs):
+        order = rng.permutation(len(records))
+        epoch_loss = 0.0
+        for idx in order:
+            record = records[int(idx)]
+            fmap = features[record.image_id]
+            ydb = debiased_labels[record.image_id]
+            if config.complement:
+                teacher_probs = _ref_forward(teacher, fmap)
+                yte = _ref_teacher_label(teacher_probs, record.truth_classes)
+                filled = np.where(ydb.data == -1, yte.data, ydb.data).astype(np.int16)
+                yco = LabelMap(filled, ydb.num_classes)
+                if config.certainty_weighting:
+                    confidence = teacher_probs[sorted(record.truth_classes)].max(axis=0)
+                    weights = np.where(ydb.data == -1, confidence, 1.0)
+                else:
+                    weights = np.ones(ydb.spatial_shape, dtype=np.float64)
+            else:
+                weights = (ydb.data != -1).astype(np.float64)
+                kept = np.where(ydb.data == -1, 0, ydb.data).astype(np.int16)
+                yco = LabelMap(kept, ydb.num_classes)
+            probs = _ref_forward(student, fmap)
+            loss = _ref_wce_loss(probs, yco, weights)
+            grad_w, grad_b = _ref_gradient(probs, fmap, yco, weights)
+            student = SegHead(
+                weights=student.weights - config.learning_rate * grad_w,
+                bias=student.bias - config.learning_rate * grad_b,
+            )
+            m = config.ema_momentum
+            teacher = SegHead(
+                weights=m * teacher.weights + (1.0 - m) * student.weights,
+                bias=m * teacher.bias + (1.0 - m) * student.bias,
+            )
+            epoch_loss += loss
+        if have_gt:
+            predictions = _ref_predict(teacher, records, features)
+            cm = ConfusionMatrix.empty(manifest.num_classes)
+            for image_id in sorted(ground_truth):
+                cm = accumulate(cm, ground_truth[image_id], predictions[image_id])
+            rep = report(cm)
+            metrics.append((epoch, epoch_loss, rep.miou, rep.fp_rate, rep.fn_rate))
+        else:
+            metrics.append((epoch, epoch_loss, None, None, None))
+    if predictions is None:
+        predictions = _ref_predict(teacher, records, features)
+    return teacher, student, metrics, predictions
+
+
+def _random_training_set(seed, num_images, d, h, w, num_classes):
+    rng = np.random.default_rng(seed)
+    records, features, debiased, gts = [], {}, {}, {}
+    for i in range(num_images):
+        image_id = f"img_{i}"
+        size = int(rng.integers(1, num_classes + 1))
+        truth = rng.choice(np.arange(1, num_classes + 1), size=size, replace=False)
+        grid = rng.choice(np.concatenate(([0], truth)), size=(h, w)).astype(np.int16)
+        gts[image_id] = LabelMap(grid, num_classes)
+        grid = np.where((grid > 0) & (rng.random((h, w)) < 0.3), -1, grid).astype(np.int16)
+        debiased[image_id] = LabelMap(grid, num_classes)
+        features[image_id] = random_feature_map(rng, d, h, w)
+        paths = (f"{image_id}.features.bin", f"{image_id}.labels.bin")
+        records.append(ImageRecord(image_id, *paths, frozenset(truth.tolist())))
+    manifest = DatasetManifest(tuple(records), num_classes=num_classes, embedding_dim=d)
+    return manifest, features, debiased, gts
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    shape=st.sampled_from([(4, 8, 5, 7, 3), (3, 64, 16, 12, 4)]),
+    complement=st.booleans(),
+    certainty=st.booleans(),
+    with_gt=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_train_bit_identical_to_per_step_reference(seed, shape, complement, certainty, with_gt):
+    manifest, features, debiased, gts = _random_training_set(seed, *shape)
+    config = TrainConfig(
+        epochs=3,
+        learning_rate=0.05,
+        seed=seed,
+        complement=complement,
+        certainty_weighting=certainty,
+    )
+    gts = gts if with_gt else {}
+    result = train(manifest, debiased, config, features=features, ground_truth=gts)
+    teacher, student, metrics, predictions = reference_train(
+        manifest, debiased, config, features=features, ground_truth=gts
+    )
+    assert np.array_equal(result.teacher.weights, teacher.weights)
+    assert np.array_equal(result.teacher.bias, teacher.bias)
+    assert np.array_equal(result.student.weights, student.weights)
+    assert np.array_equal(result.student.bias, student.bias)
+    assert [(m.epoch, m.loss, m.miou, m.fp_rate, m.fn_rate) for m in result.metrics] == metrics
+    assert result.predictions.keys() == predictions.keys()
+    for image_id, label in predictions.items():
+        assert np.array_equal(result.predictions[image_id].data, label.data)

@@ -8,32 +8,13 @@ teacher-student loop fills the sentinels back in with confidence-weighted
 cross-entropy.
 """
 
-from .core import (
-    DatasetManifest,
-    FeatureMap,
-    ImageRecord,
-    LabelMap,
-    cosine_distance,
-    cosine_similarity,
-)
+from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
 from .bank import Centroid, CentroidBank, build_centroid_bank, kmeans_spherical
-from .selection import DebiasedCentroidSet, background_distance, select_debiased
+from .selection import DebiasedCentroidSet, select_debiased
 from .debiasing import binarize, debias_label, similarity_map
-from .trainloop import (
-    SegHead,
-    TrainConfig,
-    TrainResult,
-    complement_label,
-    certainty_mask,
-    ema_update,
-    forward,
-    teacher_label,
-    train,
-    wce_gradient,
-    wce_loss,
-)
-from .evaluation import ConfusionMatrix, EvalReport, accumulate, report
-from .synth import SynthConfig, SynthCorpus, generate, oracle_biased_pixels
+from .trainloop import SegHead, TrainConfig, TrainResult, train
+from .evaluation import ConfusionMatrix, EvalReport, report
+from .synth import SynthConfig, SynthCorpus, generate
 from .pipeline import PipelineParams, run_pipeline, sweep
 
 __version__ = "0.1.0"
@@ -43,14 +24,11 @@ __all__ = [
     "FeatureMap",
     "ImageRecord",
     "LabelMap",
-    "cosine_distance",
-    "cosine_similarity",
     "Centroid",
     "CentroidBank",
     "build_centroid_bank",
     "kmeans_spherical",
     "DebiasedCentroidSet",
-    "background_distance",
     "select_debiased",
     "binarize",
     "debias_label",
@@ -58,22 +36,13 @@ __all__ = [
     "SegHead",
     "TrainConfig",
     "TrainResult",
-    "complement_label",
-    "certainty_mask",
-    "ema_update",
-    "forward",
-    "teacher_label",
     "train",
-    "wce_gradient",
-    "wce_loss",
     "ConfusionMatrix",
     "EvalReport",
-    "accumulate",
     "report",
     "SynthConfig",
     "SynthCorpus",
     "generate",
-    "oracle_biased_pixels",
     "PipelineParams",
     "run_pipeline",
     "sweep",

@@ -2,10 +2,8 @@
 
 Member pixels of every stored centroid are reconstructed by re-running the
 nearest-centroid assignment of its image's class region, then each centroid
-is labeled against ground truth two ways: a majority vote (the exact oracle
-used by the acceptance checks) and an IoU score against the class's gt
-region (the labeling convention behind external scatter plots, where
-IoU > 0.3 reads as a true object cluster and IoU < 0.1 as an impostor).
+is labeled against ground truth by majority vote: the exact oracle used by
+the acceptance checks.
 """
 
 from __future__ import annotations
@@ -19,9 +17,6 @@ from .bank import CentroidBank, class_positions, decompose_class_vectors
 from .core import FeatureMap, LabelMap
 from .selection import score_foreground, selected_count
 
-IOU_TARGET_MIN = 0.3
-IOU_BIASED_MAX = 0.1
-
 __all__ = [
     "CentroidQuality",
     "centroid_quality",
@@ -33,20 +28,11 @@ __all__ = [
 class CentroidQuality:
     member_count: int
     gt_match_count: int
-    iou: float
 
     @property
     def is_target(self) -> bool:
         """Majority of member pixels carry the centroid's class in ground truth."""
         return self.gt_match_count * 2 > self.member_count
-
-    @property
-    def iou_label(self) -> str:
-        if self.iou > IOU_TARGET_MIN:
-            return "target"
-        if self.iou < IOU_BIASED_MAX:
-            return "biased"
-        return "other"
 
 
 def centroid_quality(
@@ -70,16 +56,12 @@ def centroid_quality(
             positions = class_positions(label, class_id)
             matrix = np.stack([c.vector for c in centroids])
             assign = np.argmax(np.clip(vectors @ matrix.T, -1.0, 1.0), axis=1)
-            gt_region = gt.data == class_id
-            region_area = int(gt_region.sum())
             for j, c in enumerate(centroids):
                 member_pos = positions[assign == j]
                 member_gt = gt.data[member_pos[:, 0], member_pos[:, 1]]
-                match = int((member_gt == class_id).sum())
-                union = len(member_pos) + region_area - match
-                iou = match / union if union > 0 else 0.0
                 out[(class_id, image_id, c.cluster_index)] = CentroidQuality(
-                    member_count=len(member_pos), gt_match_count=match, iou=iou
+                    member_count=len(member_pos),
+                    gt_match_count=int((member_gt == class_id).sum()),
                 )
     return out
 

@@ -1,4 +1,4 @@
-"""Shared domain types and the cosine kernels every pipeline stage builds on.
+"""Shared domain types and the row normalization the clustering builds on.
 
 All tensors are stored float32 / int16; every accumulation (distance sums,
 loss sums) runs in float64.  Types are immutable after construction and safe
@@ -18,29 +18,8 @@ __all__ = [
     "LabelMap",
     "ImageRecord",
     "DatasetManifest",
-    "cosine_similarity",
-    "cosine_distance",
     "unit_rows",
 ]
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-
-    Clamping absorbs rounding so downstream ReLU/argsort never see 1 + eps.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("degenerate vector: zero norm")
-    return float(np.clip(float(a @ b) / (norm_a * norm_b), -1.0, 1.0))
-
-
-def cosine_distance(a, b) -> float:
-    """(1 - cosine_similarity(a, b)) / 2: 0 for parallel, 1 for antipodal."""
-    return (1.0 - cosine_similarity(a, b)) / 2.0
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -89,24 +68,8 @@ class FeatureMap:
         return self.data.shape[0]
 
     @property
-    def height(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
-    @property
     def spatial_shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
-
-    def pixel_vector(self, y: int, x: int) -> np.ndarray:
-        """The D embedding values at (y, x), as a fresh float64 vector."""
-        if not (0 <= y < self.height and 0 <= x < self.width):
-            raise IndexError(
-                f"pixel ({y}, {x}) out of bounds for {self.height}x{self.width} map"
-            )
-        return self.data[:, y, x].astype(np.float64)
+        return self.data.shape[1:]
 
 
 @dataclass(frozen=True)
@@ -133,16 +96,8 @@ class LabelMap:
         object.__setattr__(self, "data", _frozen_array(data.astype(np.int16)))
 
     @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def spatial_shape(self) -> tuple[int, int]:
-        return (self.height, self.width)
+        return self.data.shape
 
     def has_sentinel(self) -> bool:
         return bool(np.any(self.data == -1))

@@ -7,15 +7,12 @@ pixels below it become -1.
 
 from __future__ import annotations
 
-import logging
 from typing import Iterable
 
 import numpy as np
 
 from .core import FeatureMap, LabelMap
 from .selection import DebiasedCentroidSet
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "similarity_map",
@@ -31,14 +28,11 @@ def similarity_map(
     """Per-pixel max cosine similarity over the image's truth classes,
     negatives clipped to zero.  Returns a (H, W) float64 array in [0, 1].
 
-    Truth classes without a debiased centroid are skipped with a warning;
-    if none remain the map is undefined and an error is raised.
+    Truth classes without a debiased centroid are skipped; if none remain the
+    map is undefined and an error is raised.
     """
     truth = sorted(set(int(c) for c in truth_classes))
     usable = [c for c in truth if c in centroids.per_class]
-    skipped = [c for c in truth if c not in centroids.per_class]
-    if skipped:
-        logger.warning("no debiased centroid for classes %s; skipping them", skipped)
     if not usable:
         raise ValueError(f"no usable centroids: none for truth classes {truth}")
 

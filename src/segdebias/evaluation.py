@@ -20,7 +20,6 @@ from .core import LabelMap
 __all__ = [
     "ConfusionMatrix",
     "EvalReport",
-    "accumulate",
     "report",
     "evaluate_predictions",
     "require_shared_ids",
@@ -47,18 +46,6 @@ class ConfusionMatrix:
             counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def empty(cls, num_classes: int) -> "ConfusionMatrix":
-        return cls(np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64))
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0] - 1
-
-    def __add__(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        if self.counts.shape != other.counts.shape:
-            raise ValueError("confusion matrix shapes differ")
-        return ConfusionMatrix(self.counts + other.counts)
 
 
 def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
@@ -73,11 +60,6 @@ def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
     valid = gt.data != -1
     flat = gt.data[valid].astype(np.int64) * k + pred.data[valid].astype(np.int64)
     return np.bincount(flat, minlength=k * k).reshape(k, k)
-
-
-def accumulate(cm: ConfusionMatrix, gt: LabelMap, pred: LabelMap) -> ConfusionMatrix:
-    """Add one image's gt/pred pixel tally; gt == -1 pixels are skipped."""
-    return ConfusionMatrix(cm.counts + _tally(gt, pred, cm.num_classes))
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,13 @@ All formats are little-endian, row-major, and platform independent:
 Bank records: i32 class_id, u32 cluster_index, u32 member_count,
 u32 id_len, utf-8 image id, f64 vector[D].
 
-Writes are atomic (temp file + rename).  The manifest is line-delimited
-JSON: a meta line {"embedding_dim": D, "num_classes": C} followed by one
-record object per line, with paths stored relative to the manifest.
+Readers raise FormatError naming the file and a byte offset, also for a
+value its domain type rejects (a non-unit centroid vector, a label out of
+range): that error is reported at the offset where the value's payload
+starts.  Writes are atomic (temp file + rename).  The manifest is
+line-delimited JSON: a meta line {"embedding_dim": D, "num_classes": C}
+followed by one record object per line, with paths stored relative to the
+manifest.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ MAX_SPATIAL_DIM = 0xFFFF
 
 
 class FormatError(ValueError):
-    """Malformed binary file; carries the byte offset of the fault."""
+    """Malformed binary file; names the file and carries the byte offset of the fault."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -71,13 +75,17 @@ def write_csv(path, fieldnames, rows) -> None:
 
 
 class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
+    def __init__(self, path):
+        self.path = Path(path)
+        self.blob = self.path.read_bytes()
         self.offset = 0
+
+    def error(self, message: str, offset: int) -> FormatError:
+        return FormatError(f"{self.path}: {message}", offset)
 
     def take(self, n: int, what: str) -> bytes:
         if self.offset + n > len(self.blob):
-            raise FormatError(f"payload length mismatch: truncated {what}", self.offset)
+            raise self.error(f"payload length mismatch: truncated {what}", self.offset)
         out = self.blob[self.offset : self.offset + n]
         self.offset += n
         return out
@@ -88,22 +96,35 @@ class _Reader:
     def i32(self, what: str) -> int:
         return struct.unpack("<i", self.take(4, what))[0]
 
+    def spatial(self, name: str) -> int:
+        offset = self.offset
+        value = self.u32(name)
+        if value < 1 or value > MAX_SPATIAL_DIM:
+            raise self.error(
+                f"dim overflow: {name}={value} outside [1, {MAX_SPATIAL_DIM}]", offset
+            )
+        return value
+
+    def make(self, offset: int, build, *args, **kwargs):
+        """build(*args, **kwargs); a ValueError it raises is reported at offset.
+        A corrupted value that overflows the type's checks fails them quietly."""
+        try:
+            with np.errstate(over="ignore"):
+                return build(*args, **kwargs)
+        except ValueError as exc:
+            raise self.error(str(exc), offset) from None
+
     def expect_magic(self, magic: bytes) -> None:
         got = self.take(8, "magic")
         if got != magic:
-            raise FormatError(f"bad magic: expected {magic!r}, got {got!r}", 0)
+            raise self.error(f"bad magic: expected {magic!r}, got {got!r}", 0)
 
     def expect_end(self) -> None:
         if self.offset != len(self.blob):
-            raise FormatError(
+            raise self.error(
                 f"payload length mismatch: {len(self.blob) - self.offset} trailing bytes",
                 self.offset,
             )
-
-
-def _check_spatial(name: str, value: int, offset: int) -> None:
-    if value < 1 or value > MAX_SPATIAL_DIM:
-        raise FormatError(f"dim overflow: {name}={value} outside [1, {MAX_SPATIAL_DIM}]", offset)
 
 
 # -- features ----------------------------------------------------------------
@@ -116,19 +137,17 @@ def write_feature_map(path, fmap: FeatureMap) -> None:
 
 
 def read_feature_map(path) -> FeatureMap:
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     r.expect_magic(MAGIC_FEATURES)
     d = r.u32("D")
     if d < 1:
-        raise FormatError("dim overflow: D must be >= 1", 8)
-    h = r.u32("H")
-    _check_spatial("H", h, 12)
-    w = r.u32("W")
-    _check_spatial("W", w, 16)
+        raise r.error("dim overflow: D must be >= 1", 8)
+    h = r.spatial("H")
+    w = r.spatial("W")
     payload = r.take(d * h * w * 4, "feature payload")
     r.expect_end()
     data = np.frombuffer(payload, dtype="<f4").reshape(d, h, w)
-    return FeatureMap(data)
+    return r.make(20, FeatureMap, data)
 
 
 # -- labels -------------------------------------------------------------------
@@ -141,18 +160,16 @@ def write_label_map(path, lmap: LabelMap) -> None:
 
 
 def read_label_map(path, num_classes: Optional[int] = None) -> LabelMap:
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     r.expect_magic(MAGIC_LABELS)
-    h = r.u32("H")
-    _check_spatial("H", h, 8)
-    w = r.u32("W")
-    _check_spatial("W", w, 12)
+    h = r.spatial("H")
+    w = r.spatial("W")
     payload = r.take(h * w * 2, "label payload")
     r.expect_end()
     data = np.frombuffer(payload, dtype="<i2").reshape(h, w)
     if num_classes is None:
         num_classes = max(1, int(data.max(initial=0)))
-    return LabelMap(data, num_classes)
+    return r.make(16, LabelMap, data, num_classes)
 
 
 # -- centroid bank ------------------------------------------------------------
@@ -177,17 +194,18 @@ def write_centroid_bank(path, bank) -> None:
 def read_centroid_bank(path):
     from .bank import Centroid, CentroidBank
 
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     r.expect_magic(MAGIC_BANK)
     d = r.u32("D")
     k_fg = r.u32("k_fg")
     k_bg = r.u32("k_bg")
     n = r.u32("count")
     if k_fg < 1 or k_bg < 1:
-        raise FormatError("dim overflow: k_fg and k_bg must be >= 1", 12)
+        raise r.error("dim overflow: k_fg and k_bg must be >= 1", 12)
     background = []
     foreground: dict[int, list[Centroid]] = {}
     for _ in range(n):
+        record_at = r.offset
         class_id = r.i32("class_id")
         cluster_index = r.u32("cluster_index")
         member_count = r.u32("member_count")
@@ -196,9 +214,11 @@ def read_centroid_bank(path):
         try:
             image_id = r.take(id_len, "image id").decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError("image id is not valid utf-8", id_offset) from None
+            raise r.error("image id is not valid utf-8", id_offset) from None
         vec = np.frombuffer(r.take(d * 8, "centroid vector"), dtype="<f8")
-        c = Centroid(
+        c = r.make(
+            record_at,
+            Centroid,
             vector=vec,
             class_id=class_id,
             image_id=image_id,
@@ -210,7 +230,9 @@ def read_centroid_bank(path):
         else:
             foreground.setdefault(class_id, []).append(c)
     r.expect_end()
-    return CentroidBank(
+    return r.make(
+        24,
+        CentroidBank,
         foreground={k: tuple(v) for k, v in foreground.items()},
         background=tuple(background),
         k_fg=k_fg,
@@ -231,16 +253,16 @@ def write_checkpoint(path, head) -> None:
 def read_checkpoint(path):
     from .trainloop import SegHead
 
-    r = _Reader(Path(path).read_bytes())
+    r = _Reader(path)
     r.expect_magic(MAGIC_CHECKPOINT)
     channels = r.u32("channels")
     d = r.u32("D")
     if channels < 1 or d < 1:
-        raise FormatError("dim overflow: channels and D must be >= 1", 8)
+        raise r.error("dim overflow: channels and D must be >= 1", 8)
     weights = np.frombuffer(r.take(channels * d * 8, "weights"), dtype="<f8").reshape(channels, d)
     bias = np.frombuffer(r.take(channels * 8, "bias"), dtype="<f8")
     r.expect_end()
-    return SegHead(weights=weights, bias=bias)
+    return r.make(16, SegHead, weights=weights, bias=bias)
 
 
 # -- debiased centroid set (JSON) ----------------------------------------------

@@ -7,6 +7,7 @@ chain cheaply without touching disk.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, fields, replace
 from typing import Mapping, Optional, Sequence
 
@@ -14,13 +15,22 @@ import numpy as np
 
 from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
-from .core import DatasetManifest, FeatureMap, LabelMap
+from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
 from .debiasing import debias_image
 from .evaluation import EvalReport, evaluate_predictions, require_shared_ids
 from .selection import DebiasedCentroidSet, select_debiased
 from .trainloop import TrainConfig, TrainResult, train
 
-__all__ = ["PipelineParams", "PipelineResult", "debias_all", "run_pipeline", "sweep"]
+logger = logging.getLogger(__name__)
+
+__all__ = [
+    "PipelineParams",
+    "PipelineResult",
+    "debias_record",
+    "debias_all",
+    "run_pipeline",
+    "sweep",
+]
 
 # CLI flag -> PipelineParams field, for every flag that takes a hyperparameter value
 FLAG_FIELDS = {
@@ -68,6 +78,26 @@ class PipelineResult:
     report: Optional[EvalReport]
 
 
+def debias_record(
+    record: ImageRecord,
+    fmap: FeatureMap,
+    pseudo: LabelMap,
+    centroid_set: DebiasedCentroidSet,
+    threshold: float,
+) -> LabelMap:
+    """debias_image for one manifest record.  Truth classes without a debiased
+    centroid are skipped with a warning; the warning and any error name the image."""
+    skipped = sorted(record.truth_classes.difference(centroid_set.per_class))
+    if skipped:
+        logger.warning(
+            "%s: no debiased centroid for classes %s; skipping them", record.image_id, skipped
+        )
+    try:
+        return debias_image(fmap, pseudo, centroid_set, record.truth_classes, threshold)
+    except ValueError as exc:
+        raise ValueError(f"{record.image_id}: {exc}") from exc
+
+
 def debias_all(
     manifest: DatasetManifest,
     features: Mapping[str, FeatureMap],
@@ -75,19 +105,12 @@ def debias_all(
     centroid_set: DebiasedCentroidSet,
     threshold: float,
 ) -> dict[str, LabelMap]:
-    out = {}
-    for r in manifest.records:
-        try:
-            out[r.image_id] = debias_image(
-                features[r.image_id],
-                pseudo_labels[r.image_id],
-                centroid_set,
-                r.truth_classes,
-                threshold,
-            )
-        except ValueError as exc:
-            raise ValueError(f"{r.image_id}: {exc}") from exc
-    return out
+    return {
+        r.image_id: debias_record(
+            r, features[r.image_id], pseudo_labels[r.image_id], centroid_set, threshold
+        )
+        for r in manifest.records
+    }
 
 
 def run_pipeline(

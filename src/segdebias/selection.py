@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .bank import Centroid, CentroidBank
 __all__ = [
     "ScoredCentroid",
     "DebiasedCentroidSet",
-    "background_distance",
     "score_foreground",
     "select_debiased",
     "selection_rows",
@@ -78,16 +77,6 @@ def _background_distances(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray
     return np.mean((1.0 - sims) / 2.0, axis=1)
 
 
-def background_distance(centroid: Union[Centroid, np.ndarray], bank: CentroidBank) -> float:
-    """Mean cosine distance from one vector to every background centroid."""
-    matrix = _bank_matrix(bank)
-    vec = centroid.vector if isinstance(centroid, Centroid) else np.asarray(centroid, np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ValueError("degenerate vector: zero norm")
-    return float(_background_distances((vec / norm)[None, :], matrix)[0])
-
-
 def selected_count(num_candidates: int, alpha: float) -> int:
     """ceil(M * alpha) with a guard against float round-up at exact integers."""
     if not (0.0 < alpha <= 1.0):
@@ -118,8 +107,6 @@ def select_debiased(bank: CentroidBank, alpha: float) -> DebiasedCentroidSet:
     Classes with empty banks are simply absent from the result; the average
     is re-normalized so downstream similarities stay within [-1, 1].
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     per_class: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for class_id, scored in score_foreground(bank).items():
@@ -137,7 +124,7 @@ def select_debiased(bank: CentroidBank, alpha: float) -> DebiasedCentroidSet:
 
 def selection_rows(bank: CentroidBank, alpha: float) -> list[dict]:
     """Flat per-centroid rows (class_id, image_id, cluster_index, dist,
-    selected) backing the export CSV and external scatter plots."""
+    selected) backing the export CSV."""
     rows = []
     for class_id, scored in score_foreground(bank).items():
         take = selected_count(len(scored), alpha)

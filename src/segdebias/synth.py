@@ -33,7 +33,6 @@ __all__ = [
     "SynthRecord",
     "SynthCorpus",
     "generate",
-    "oracle_biased_pixels",
 ]
 
 
@@ -106,7 +105,8 @@ class PrototypeSet:
 
 @dataclass(frozen=True)
 class SynthRecord:
-    """One generated image plus its exact oracles."""
+    """One generated image plus its exact oracles; `biased_mask` is the
+    read-only bool mask of the planted impostor pixels."""
 
     record: ImageRecord
     features: FeatureMap
@@ -133,11 +133,6 @@ class SynthCorpus:
 
     def ground_truth(self) -> dict[str, LabelMap]:
         return {r.image_id: r.gt for r in self.records}
-
-
-def oracle_biased_pixels(record: SynthRecord) -> np.ndarray:
-    """The exact planted impostor-pixel set of one image, as a bool mask."""
-    return record.biased_mask.copy()
 
 
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:

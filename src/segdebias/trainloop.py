@@ -26,13 +26,6 @@ __all__ = [
     "TrainConfig",
     "EpochMetrics",
     "TrainResult",
-    "forward",
-    "teacher_label",
-    "certainty_mask",
-    "complement_label",
-    "wce_loss",
-    "wce_gradient",
-    "ema_update",
     "train",
     "write_metrics_csv",
 ]
@@ -56,10 +49,6 @@ class SegHead:
                 arr = arr.copy()
                 arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.weights.shape[1]
 
     @classmethod
     def initialize(
@@ -137,114 +126,25 @@ def _gradient(
 
 
 def _wce(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
+    """Sum over pixels of w * -log p(assigned class); log clamped at 1e-12."""
     picked = probs[labels, np.arange(labels.size)]
     return float(np.sum(weights * -np.log(np.maximum(picked, LOG_CLAMP))))
 
 
-def _allowed_classes(truth_classes: Iterable[int], num_classes: int) -> np.ndarray:
-    """{0} plus the truth classes in range, ascending, as int16."""
-    truth = {int(c) for c in truth_classes if 1 <= int(c) <= num_classes}
-    return np.asarray([0] + sorted(truth), dtype=np.int16)
-
-
 def _restricted_argmax(probs: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """Per-pixel argmax over the allowed channels, ties to the smallest index."""
     return allowed[np.argmax(probs[allowed], axis=0)]
 
 
-def _foreground_classes(truth_classes: Iterable[int], num_classes: int) -> list[int]:
-    fg = sorted({int(c) for c in truth_classes})
-    if any(c < 1 or c > num_classes for c in fg):
-        raise ValueError(f"truth classes must lie in [1, {num_classes}]")
-    if not fg:
-        raise ValueError("truth_classes must be non-empty")
-    return fg
-
-
 def _certainty(sentinel: np.ndarray, probs: np.ndarray, fg: list[int]) -> np.ndarray:
+    """1 on decided pixels; the max probability over the foreground truth
+    classes on sentinel pixels.  Background channel 0 never contributes."""
     return np.where(sentinel, probs[fg].max(axis=0), 1.0)
 
 
 def _require_finite(weights: np.ndarray, bias: np.ndarray) -> None:
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise ValueError("head parameters must be finite")
-
-
-def _check_dim(head_dim: int, fmap: FeatureMap) -> None:
-    if head_dim != fmap.embedding_dim:
-        raise ValueError(f"head dim {head_dim} != feature dim {fmap.embedding_dim}")
-
-
-def forward(head: SegHead, fmap: FeatureMap) -> np.ndarray:
-    """Per-pixel softmax probabilities, shape (C+1, H, W), channel 0 = background."""
-    _check_dim(head.embedding_dim, fmap)
-    probs = _softmax(head.weights, head.bias, _flat64(fmap))
-    return probs.reshape(-1, *fmap.spatial_shape)
-
-
-def teacher_label(probs: np.ndarray, truth_classes: Iterable[int]) -> LabelMap:
-    """Argmax restricted to {0} plus the truth classes, ties to the smallest index."""
-    probs = np.asarray(probs)
-    num_classes = probs.shape[0] - 1
-    labels = _restricted_argmax(probs, _allowed_classes(truth_classes, num_classes))
-    return LabelMap(labels, num_classes)
-
-
-def certainty_mask(
-    ydb: LabelMap, teacher_probs: np.ndarray, truth_classes: Iterable[int]
-) -> np.ndarray:
-    """1 on decided pixels; the teacher's max foreground-truth probability on
-    sentinel pixels.  Background channel 0 never contributes."""
-    teacher_probs = np.asarray(teacher_probs, dtype=np.float64)
-    if teacher_probs.shape[1:] != ydb.spatial_shape:
-        raise ValueError("probability map and label dims differ")
-    fg = _foreground_classes(truth_classes, teacher_probs.shape[0] - 1)
-    return _certainty(ydb.data == -1, teacher_probs, fg)
-
-
-def complement_label(ydb: LabelMap, yte: LabelMap) -> LabelMap:
-    """Fill sentinel pixels with the teacher's label; everything else is kept."""
-    if yte.spatial_shape != ydb.spatial_shape:
-        raise ValueError("label dims differ")
-    if yte.has_sentinel():
-        raise ValueError("teacher label must not contain -1")
-    out = np.where(ydb.data == -1, yte.data, ydb.data).astype(np.int16)
-    return LabelMap(out, ydb.num_classes)
-
-
-def wce_loss(probs: np.ndarray, yco: LabelMap, weights: np.ndarray) -> float:
-    """Sum over pixels of w * -log p(assigned class); log clamped at 1e-12."""
-    probs = np.asarray(probs, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if yco.has_sentinel():
-        raise ValueError("complemented label must not contain -1")
-    if probs.shape[1:] != yco.spatial_shape or weights.shape != yco.spatial_shape:
-        raise ValueError("probability map, label, and weight dims differ")
-    return _wce(probs.reshape(probs.shape[0], -1), yco.data.ravel(), weights.ravel())
-
-
-def wce_gradient(
-    head: SegHead, fmap: FeatureMap, yco: LabelMap, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of wce_loss w.r.t. (weights, bias) through the softmax."""
-    _check_dim(head.embedding_dim, fmap)
-    weights = np.asarray(weights, dtype=np.float64)
-    if fmap.spatial_shape != yco.spatial_shape or weights.shape != yco.spatial_shape:
-        raise ValueError("feature map, label, and weight dims differ")
-    flat = _flat64(fmap)
-    probs = _softmax(head.weights, head.bias, flat)
-    return _gradient(probs, flat, yco.data.ravel(), weights.ravel())
-
-
-def ema_update(teacher: SegHead, student: SegHead, momentum: float) -> SegHead:
-    """teacher' = momentum * teacher + (1 - momentum) * student, element-wise."""
-    if not (0.0 <= momentum < 1.0):
-        raise ValueError("momentum must lie in [0, 1)")
-    if teacher.weights.shape != student.weights.shape:
-        raise ValueError("teacher and student shapes differ")
-    return SegHead(
-        weights=momentum * teacher.weights + (1.0 - momentum) * student.weights,
-        bias=momentum * teacher.bias + (1.0 - momentum) * student.bias,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,19 +171,25 @@ def _targets(
             raise ValueError(f"missing debiased label for {record.image_id}")
         fmap = features[record.image_id]
         ydb = debiased_labels[record.image_id]
-        _check_dim(manifest.embedding_dim, fmap)
+        if fmap.embedding_dim != manifest.embedding_dim:
+            raise ValueError(
+                f"{record.image_id}: feature dim {fmap.embedding_dim} != manifest "
+                f"embedding_dim {manifest.embedding_dim}"
+            )
         if ydb.spatial_shape != fmap.spatial_shape:
             raise ValueError(
                 f"{record.image_id}: debiased label dims {ydb.spatial_shape} != "
                 f"feature dims {fmap.spatial_shape}"
             )
+        # ImageRecord and DatasetManifest keep truth classes non-empty and in [1, C]
+        foreground = sorted(record.truth_classes)
         targets.append(
             _Target(
                 image_id=record.image_id,
                 fmap=fmap,
                 labels=ydb.data.ravel(),
-                allowed=_allowed_classes(record.truth_classes, manifest.num_classes),
-                foreground=_foreground_classes(record.truth_classes, manifest.num_classes),
+                allowed=np.asarray([0] + foreground, dtype=np.int16),
+                foreground=foreground,
             )
         )
     return targets

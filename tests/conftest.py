@@ -56,6 +56,23 @@ def tiny_corpus(tmp_path_factory):
     return generate(config, tmp_path_factory.mktemp("tiny_corpus"))
 
 
+def cosine_similarity(a, b) -> float:
+    """Naive cosine of two vectors, clamped to [-1, 1]: the oracle the
+    pipeline's vectorized cosine kernels are checked against."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("degenerate vector: zero norm")
+    return float(np.clip(float(a @ b) / (norm_a * norm_b), -1.0, 1.0))
+
+
+def cosine_distance(a, b) -> float:
+    """(1 - cosine_similarity(a, b)) / 2: 0 for parallel, 1 for antipodal."""
+    return (1.0 - cosine_similarity(a, b)) / 2.0
+
+
 def random_feature_map(rng, d=3, h=4, w=5) -> FeatureMap:
     data = rng.normal(size=(d, h, w)).astype(np.float32)
     # keep every pixel vector clearly nonzero

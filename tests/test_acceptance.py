@@ -15,14 +15,14 @@ import pytest
 from segdebias import formats
 from segdebias.analysis import selection_accuracy
 from segdebias.bank import Centroid, CentroidBank, build_centroid_bank
-from segdebias.core import LabelMap, cosine_distance
-from segdebias.evaluation import ConfusionMatrix, accumulate
+from segdebias.core import LabelMap
+from segdebias.evaluation import _tally
 from segdebias.pipeline import PipelineParams, debias_all, run_pipeline
-from segdebias.selection import background_distance, select_debiased, selection_rows
+from segdebias.selection import score_foreground, select_debiased, selection_rows
 from segdebias.synth import SynthConfig, generate
-from segdebias.trainloop import SegHead, forward, wce_gradient, wce_loss
+from segdebias.trainloop import SegHead, _flat64, _gradient, _softmax, _wce
 
-from conftest import random_feature_map
+from conftest import cosine_distance, random_feature_map
 
 ALPHA = 0.40
 THRESHOLD = 0.30
@@ -180,27 +180,27 @@ def test_criterion_4_gradient_check():
         w = int(rng.integers(1, 5))
         if h * w > 16:
             w = max(1, 16 // h)
-        fmap = random_feature_map(rng, d, h, w)
-        head = SegHead(weights=rng.normal(size=(c + 1, d)), bias=rng.normal(size=c + 1))
-        yco = LabelMap(rng.integers(0, c + 1, (h, w)).astype(np.int16), c)
-        weights = rng.random((h, w))
-        grad_w, grad_b = wce_gradient(head, fmap, yco, weights)
+        flat = _flat64(random_feature_map(rng, d, h, w))
+        head_w, head_b = rng.normal(size=(c + 1, d)), rng.normal(size=c + 1)
+        labels = rng.integers(0, c + 1, (h, w)).astype(np.int16).ravel()
+        weights = rng.random((h, w)).ravel()
+        grad_w, grad_b = _gradient(_softmax(head_w, head_b, flat), flat, labels, weights)
         step = 1e-5
-        for flat_index in range(head.weights.size):
-            perturb = np.zeros(head.weights.size)
+        for flat_index in range(head_w.size):
+            perturb = np.zeros(head_w.size)
             perturb[flat_index] = step
-            perturb = perturb.reshape(head.weights.shape)
-            up = wce_loss(forward(SegHead(head.weights + perturb, head.bias), fmap), yco, weights)
-            down = wce_loss(forward(SegHead(head.weights - perturb, head.bias), fmap), yco, weights)
+            perturb = perturb.reshape(head_w.shape)
+            up = _wce(_softmax(head_w + perturb, head_b, flat), labels, weights)
+            down = _wce(_softmax(head_w - perturb, head_b, flat), labels, weights)
             numeric = (up - down) / (2 * step)
             analytic = grad_w.ravel()[flat_index]
             scale = max(abs(numeric), abs(analytic), 1e-8)
             worst = max(worst, abs(numeric - analytic) / scale)
-        for j in range(head.bias.size):
-            perturb = np.zeros_like(head.bias)
+        for j in range(head_b.size):
+            perturb = np.zeros_like(head_b)
             perturb[j] = step
-            up = wce_loss(forward(SegHead(head.weights, head.bias + perturb), fmap), yco, weights)
-            down = wce_loss(forward(SegHead(head.weights, head.bias - perturb), fmap), yco, weights)
+            up = _wce(_softmax(head_w, head_b + perturb, flat), labels, weights)
+            down = _wce(_softmax(head_w, head_b - perturb, flat), labels, weights)
             numeric = (up - down) / (2 * step)
             scale = max(abs(numeric), abs(grad_b[j]), 1e-8)
             worst = max(worst, abs(numeric - grad_b[j]) / scale)
@@ -225,7 +225,7 @@ def test_criterion_5_distance_oracle_and_ordering(artifacts):
         bank = CentroidBank(
             foreground={1: (probe,)}, background=tuple(background), k_fg=2, k_bg=2
         )
-        fast = background_distance(probe, bank)
+        fast = score_foreground(bank)[1][0].dist
         naive = sum(cosine_distance(probe.vector, b.vector) for b in background) / n_bg
         worst = max(worst, abs(fast - naive))
     assert worst <= 1e-12, f"Eq-1 oracle deviation {worst}"
@@ -352,11 +352,11 @@ def test_criterion_8_metric_oracle():
         h, w = int(rng.integers(1, 8)), int(rng.integers(1, 8))
         gt = LabelMap(rng.integers(-1, c + 1, (h, w)).astype(np.int16), c)
         pred = LabelMap(rng.integers(0, c + 1, (h, w)).astype(np.int16), c)
-        cm = accumulate(ConfusionMatrix.empty(c), gt, pred)
+        counts = _tally(gt, pred, c)
         expected = np.zeros((c + 1, c + 1), dtype=np.int64)
         for y in range(h):
             for x in range(w):
                 if gt.data[y, x] != -1:
                     expected[gt.data[y, x], pred.data[y, x]] += 1
-        assert np.array_equal(cm.counts, expected)
+        assert np.array_equal(counts, expected)
     print("\nPASS criterion 8: confusion counts match set-based recomputation exactly (50 pairs)")

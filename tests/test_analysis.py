@@ -16,8 +16,7 @@ def test_centroid_quality_covers_bank(standard_corpus, standard_bank):
     assert set(quality) == keys
     for stats in quality.values():
         assert stats.member_count >= 1
-        assert 0.0 <= stats.iou <= 1.0
-        assert stats.iou_label in {"target", "biased", "other"}
+        assert 0 <= stats.gt_match_count <= stats.member_count
 
 
 def test_member_counts_match_bank(standard_corpus, standard_bank):

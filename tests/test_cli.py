@@ -305,3 +305,24 @@ def test_debias_without_centroid_is_nonzero_and_names_the_image(corpus_dir, tmp_
     err = capsys.readouterr().err
     assert f"{first.image_id}: no usable centroids" in err
     assert f"truth classes {sorted(first.truth_classes)}" in err
+
+
+def test_debias_skipped_class_warning_names_the_image(corpus_dir, tmp_path, caplog):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    with_1 = tuple(r for r in manifest.records if 1 in r.truth_classes)
+    partly = [r.image_id for r in with_1 if 2 in r.truth_classes]
+    assert partly
+    subset = tmp_path / "manifest.jsonl"
+    formats.write_manifest(
+        subset, DatasetManifest(with_1, manifest.num_classes, manifest.embedding_dim)
+    )
+    only_1 = tmp_path / "centroids.json"
+    vector = np.ones(manifest.embedding_dim) / np.sqrt(manifest.embedding_dim)
+    formats.write_centroid_set(
+        only_1, DebiasedCentroidSet({1: vector}, alpha=0.4, selected_counts={1: 1})
+    )
+    assert main(["debias", "--manifest", str(subset), "--centroids", str(only_1),
+                 "--out", str(tmp_path / "debiased")]) == 0
+    warned = [rec.getMessage().split(":")[0] for rec in caplog.records
+              if "no debiased centroid for classes [2]" in rec.getMessage()]
+    assert warned == partly

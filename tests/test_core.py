@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdebias.core import (
-    DatasetManifest,
-    FeatureMap,
-    ImageRecord,
-    LabelMap,
-    cosine_distance,
-    cosine_similarity,
-)
+from segdebias.core import DatasetManifest, FeatureMap, ImageRecord, LabelMap, unit_rows
+from segdebias.selection import _background_distances
+from segdebias.trainloop import _flat64
 
 finite_vec = st.lists(
     st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -23,37 +18,47 @@ def nonzero(v):
     return np.linalg.norm(v) > 1e-6
 
 
+def cosine(a, b) -> float:
+    """Cosine as clustering computes it: a dot product of unit_rows."""
+    return float((unit_rows([a]) @ unit_rows([b]).T)[0, 0])
+
+
+def eq1_distance(a, b) -> float:
+    """Eq. 1 of the unit vector of a against a one-centroid background bank b."""
+    return float(_background_distances(unit_rows([a]), np.asarray([b], dtype=np.float64))[0])
+
+
 def test_cosine_similarity_identical_unit_vectors():
-    assert cosine_similarity([1, 0], [1, 0]) == 1.0
+    assert cosine([1, 0], [1, 0]) == 1.0
 
 
 def test_cosine_similarity_orthogonal():
-    assert cosine_similarity([1, 0], [0, 1]) == 0.0
+    assert cosine([1, 0], [0, 1]) == 0.0
 
 
 def test_cosine_similarity_scale_invariant():
-    assert cosine_similarity([3, 4], [6, 8]) == pytest.approx(1.0, abs=1e-12)
+    assert cosine([3, 4], [6, 8]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_similarity_zero_norm_rejected():
     with pytest.raises(ValueError, match="degenerate vector"):
-        cosine_similarity([0, 0], [1, 0])
+        unit_rows([[0, 0], [1, 0]])
     with pytest.raises(ValueError, match="degenerate vector"):
-        cosine_similarity([1, 0], [0, 0])
+        FeatureMap(np.zeros((2, 1, 1), dtype=np.float32))
 
 
 def test_cosine_distance_examples():
-    assert cosine_distance([1, 0], [1, 0]) == 0.0
-    assert cosine_distance([1, 0], [0, 1]) == 0.5
-    assert cosine_distance([1, 0], [-1, 0]) == 1.0
+    assert eq1_distance([1, 0], [1, 0]) == 0.0
+    assert eq1_distance([1, 0], [0, 1]) == 0.5
+    assert eq1_distance([1, 0], [-1, 0]) == 1.0
 
 
 @given(finite_vec)
 def test_cosine_distance_self_and_antipodal(v):
     if not nonzero(v):
         return
-    assert abs(cosine_distance(v, v)) <= 1e-12
-    assert abs(cosine_distance(v, [-x for x in v]) - 1.0) <= 1e-12
+    assert abs(eq1_distance(v, v)) <= 1e-12
+    assert abs(eq1_distance(v, [-x for x in v]) - 1.0) <= 1e-12
 
 
 @given(
@@ -67,8 +72,8 @@ def test_cosine_distance_scale_invariance(v, s, t):
     w = [x + 1.0 for x in v]
     if not nonzero(w):
         return
-    base = cosine_distance(v, w)
-    scaled = cosine_distance([s * x for x in v], [t * x for x in w])
+    base = eq1_distance(v, w)
+    scaled = eq1_distance([s * x for x in v], [t * x for x in w])
     assert abs(base - scaled) <= 1e-9
     assert 0.0 <= base <= 1.0
 
@@ -81,26 +86,21 @@ def test_cosine_similarity_symmetric(v):
     w = [x + 0.5 for x in v]
     if not nonzero(w):
         return
-    assert cosine_similarity(v, w) == pytest.approx(cosine_similarity(w, v), abs=1e-15)
+    assert cosine(v, w) == pytest.approx(cosine(w, v), abs=1e-15)
 
 
 class TestFeatureMap:
     def test_pixel_vector_layout(self):
-        fmap = FeatureMap(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
-        assert fmap.pixel_vector(0, 0).tolist() == [1.0, 3.0]
-        assert fmap.pixel_vector(0, 1).tolist() == [2.0, 4.0]
-
-    def test_pixel_vector_bounds(self):
-        fmap = FeatureMap(np.array([[[1.0, 2.0]], [[3.0, 4.0]]]))
-        with pytest.raises(IndexError):
-            fmap.pixel_vector(1, 0)
-        with pytest.raises(IndexError):
-            fmap.pixel_vector(-1, 0)
+        # the training loop's (D, H*W) cast: column y * W + x is pixel (y, x)
+        flat = _flat64(FeatureMap(np.array([[[1.0, 2.0]], [[3.0, 4.0]]])))
+        assert flat.dtype == np.float64
+        assert flat[:, 0].tolist() == [1.0, 3.0]
+        assert flat[:, 1].tolist() == [2.0, 4.0]
 
     def test_pixel_vector_does_not_alias(self):
         fmap = FeatureMap(np.ones((2, 2, 2), dtype=np.float32))
-        vec = fmap.pixel_vector(0, 0)
-        vec[0] = 99.0
+        flat = _flat64(fmap)
+        flat[0, 0] = 99.0
         assert fmap.data[0, 0, 0] == 1.0
 
     def test_rejects_non_finite(self):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segdebias.core import FeatureMap, LabelMap
+from segdebias.core import FeatureMap, ImageRecord, LabelMap
 from segdebias.debiasing import (
     binarize,
     debias_image,
     debias_label,
     similarity_map,
 )
+from segdebias.pipeline import debias_record
 from segdebias.selection import DebiasedCentroidSet
 
 from conftest import random_feature_map
@@ -61,10 +62,13 @@ class TestSimilarityMap:
         rng = np.random.default_rng(1)
         fmap = random_feature_map(rng, 3, 2, 2)
         cset = centroid_set({1: rng.normal(size=3)})
+        assert np.array_equal(similarity_map(fmap, cset, {1, 2}), similarity_map(fmap, cset, {1}))
+        record = ImageRecord("img_3", "f", "l", frozenset({1, 2}))
+        pseudo = LabelMap(np.array([[1, 2], [0, 0]], dtype=np.int16), 2)
         with caplog.at_level(logging.WARNING):
-            sim = similarity_map(fmap, cset, {1, 2})
-        assert "skipping" in caplog.text
-        assert sim.shape == (2, 2)
+            debiased = debias_record(record, fmap, pseudo, cset, 0.3)
+        assert "img_3: no debiased centroid for classes [2]; skipping them" in caplog.text
+        assert debiased.spatial_shape == (2, 2)
 
     def test_no_usable_centroids(self):
         rng = np.random.default_rng(1)

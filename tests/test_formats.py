@@ -140,6 +140,44 @@ def test_every_truncation_is_a_format_error(tmp_path):
                 read(path)
 
 
+def test_every_corrupted_byte_reads_or_is_a_format_error(tmp_path):
+    """Single-byte value corruptions: each file either still reads or fails with
+    a FormatError that names it, also where a domain type rejects the value."""
+    domain = {"unit-norm", "label out of range", "non-finite", "must be finite"}
+    seen = set()
+    for path, read in _one_of_each_format(tmp_path):
+        blob = path.read_bytes()
+        for offset in range(len(blob)):
+            for value in (0x00, 0x7F, 0x80, 0xFF):
+                if blob[offset] == value:
+                    continue
+                path.write_bytes(blob[:offset] + bytes([value]) + blob[offset + 1 :])
+                try:
+                    read(path)
+                except formats.FormatError as exc:
+                    assert str(exc).startswith(f"{path}: "), str(exc)
+                    seen |= {d for d in domain if d in str(exc)}
+    assert seen == domain
+
+
+def test_domain_error_reports_the_payload_offset(tmp_path):
+    (_, _), (label_path, _), (bank_path, _), _ = _one_of_each_format(tmp_path)
+    blob = bytearray(label_path.read_bytes())
+    blob[16:18] = struct.pack("<h", -2)
+    label_path.write_bytes(bytes(blob))
+    with pytest.raises(formats.FormatError, match="label out of range") as err:
+        formats.read_label_map(label_path, 2)
+    assert err.value.offset == 16  # magic, H, W
+    blob = bytearray(bank_path.read_bytes())
+    second = 8 + 16 + 16 + len(b"img_0") + 3 * 8  # header, first record
+    vector = second + 16 + len("im\u00e9".encode("utf-8"))
+    blob[vector : vector + 8] = struct.pack("<d", 2.0)
+    bank_path.write_bytes(bytes(blob))
+    with pytest.raises(formats.FormatError, match="unit-norm") as err:
+        formats.read_centroid_bank(bank_path)
+    assert err.value.offset == second
+
+
 def test_undecodable_image_id_is_a_format_error(tmp_path):
     centroid = Centroid(random_unit(np.random.default_rng(4), 3), 1, "img_0", 0, 4)
     bank = CentroidBank(foreground={1: (centroid,)}, background=(), k_fg=2, k_bg=2)

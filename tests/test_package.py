@@ -1,17 +1,72 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import segdebias
 
+ROOT = Path(__file__).resolve().parent.parent
 
-def test_every_listed_export_resolves():
-    names = ["segdebias"] + [
+
+def _modules():
+    return [
         f"segdebias.{m.name}"
         for m in pkgutil.iter_modules(segdebias.__path__)
         if m.name != "__main__"  # importing it runs the CLI
     ]
+
+
+def test_every_listed_export_resolves():
     stale = []
-    for name in names:
+    for name in ["segdebias"] + _modules():
         module = importlib.import_module(name)
         stale += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert stale == []
+
+
+def _loaded_names(node) -> set[str]:
+    """Identifiers a subtree reads, as bare names or as attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each `__all__` name of a segdebias module is read by the library, the
+    scripts or the benchmark.  A read inside the definition of an export that
+    is itself unread does not count, so a chain of unused helpers is flagged
+    whole."""
+    exports = {}  # name -> the modules that export it
+    for name in _modules():
+        for export in getattr(importlib.import_module(name), "__all__", ()):
+            exports.setdefault(export, set()).add(name)
+
+    sources = [p for p in (ROOT / "src" / "segdebias").glob("*.py") if p.name != "__init__.py"]
+    sources += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    # (owner, names read): the owner is the export a top-level definition of the
+    # package defines, or None for code that always runs or is not exported
+    reads = []
+    for path in sources:
+        module = f"segdebias.{path.stem}" if path.parent.name == "segdebias" else None
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            if module is None or module not in exports.get(owner, ()):
+                owner = None
+            reads.append((owner, _loaded_names(stmt)))
+
+    live: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for owner, names in reads:
+            if owner is not None and owner not in live:
+                continue
+            for export in (names & exports.keys()) - live - {owner}:
+                live.add(export)
+                changed = True
+    unused = sorted(f"{m}.{n}" for n in exports.keys() - live for m in exports[n])
+    assert not unused, f"exports no code outside the tests reads: {unused}"

@@ -1,9 +1,11 @@
+import logging
 import re
 from dataclasses import fields, replace
 
 import pytest
 
 from segdebias import pipeline
+from segdebias.core import DatasetManifest
 from segdebias.pipeline import PipelineParams, debias_all, run_pipeline
 from segdebias.selection import DebiasedCentroidSet
 from segdebias.trainloop import TrainConfig
@@ -90,3 +92,23 @@ def test_debias_without_centroid_names_the_image(standard_corpus, standard_centr
             only_1,
             0.30,
         )
+
+
+def test_skipped_class_warning_names_the_image(standard_corpus, standard_centroids, caplog):
+    only_1 = DebiasedCentroidSet(
+        per_class={1: standard_centroids.per_class[1]}, alpha=0.4, selected_counts={1: 1}
+    )
+    manifest = standard_corpus.manifest
+    with_1 = tuple(r for r in manifest.records if 1 in r.truth_classes)
+    partly = [r for r in with_1 if len(r.truth_classes) > 1]
+    assert partly
+    subset = DatasetManifest(with_1, manifest.num_classes, manifest.embedding_dim)
+    features, labels = standard_corpus.features(), standard_corpus.pseudo_labels()
+    with caplog.at_level(logging.WARNING):
+        debias_all(subset, features, labels, only_1, 0.30)
+    warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert warnings == [
+        f"{r.image_id}: no debiased centroid for classes {sorted(r.truth_classes - {1})}; "
+        "skipping them"
+        for r in partly
+    ]

@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from segdebias.bank import Centroid, CentroidBank
-from segdebias.core import cosine_distance
 from segdebias.selection import (
-    background_distance,
     score_foreground,
     select_debiased,
     selected_count,
     selection_rows,
 )
+
+from conftest import cosine_distance
 
 
 def unit(v):
@@ -40,6 +42,13 @@ def random_bank(rng, d=6, n_fg=8, n_bg=10, classes=(1, 2)):
     return make_bank(fg, bg)
 
 
+def background_distance(vector, bank) -> float:
+    """Eq. 1 as selection scores it: the dist of the only class-1 centroid."""
+    probe = Centroid(unit(vector), 1, "probe", 0, 1)
+    scored = score_foreground(replace(bank, foreground={1: (probe,)}))
+    return scored[1][0].dist
+
+
 class TestBackgroundDistance:
     def test_arithmetic_mean(self):
         # backgrounds at cosine distance 0.2 and 0.4 from the probe
@@ -48,7 +57,7 @@ class TestBackgroundDistance:
         bg1 = [0.6, 0.8, 0, 0]  # sim 0.6 -> dist 0.2
         bg2 = [0.2, np.sqrt(1 - 0.04), 0, 0]  # sim 0.2 -> dist 0.4
         bank = make_bank([(1, v)], [bg1, bg2])
-        assert background_distance(np.asarray(v), bank) == pytest.approx(0.3, abs=1e-12)
+        assert background_distance(v, bank) == pytest.approx(0.3, abs=1e-12)
 
     def test_identity(self):
         v = unit([1, 2, 3])
@@ -58,11 +67,11 @@ class TestBackgroundDistance:
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(17)
         bank = random_bank(rng, n_bg=100)
-        for centroid in bank.foreground[1]:
+        for scored in score_foreground(bank)[1]:
             naive = sum(
-                cosine_distance(centroid.vector, b.vector) for b in bank.background
+                cosine_distance(scored.centroid.vector, b.vector) for b in bank.background
             ) / len(bank.background)
-            assert background_distance(centroid, bank) == pytest.approx(naive, abs=1e-12)
+            assert scored.dist == pytest.approx(naive, abs=1e-12)
 
     def test_empty_background(self):
         bank = CentroidBank(
@@ -72,7 +81,7 @@ class TestBackgroundDistance:
             k_bg=2,
         )
         with pytest.raises(ValueError, match="no background centroids"):
-            background_distance(np.array([1.0, 0.0]), bank)
+            score_foreground(bank)
 
 
 class TestSelect:

@@ -4,7 +4,7 @@ import pytest
 from segdebias.bank import build_centroid_bank
 from segdebias.pipeline import debias_all
 from segdebias.selection import select_debiased
-from segdebias.synth import SynthConfig, generate, oracle_biased_pixels
+from segdebias.synth import SynthConfig, generate
 
 
 def test_fixed_seed_is_byte_identical(tmp_path):
@@ -55,7 +55,7 @@ def test_oracle_masks(tmp_path):
     eligible = 0
     patch = max(1, round(config.bias_blob_fraction * _blob_area(config)))
     for rec in corpus.records:
-        mask = oracle_biased_pixels(rec)
+        mask = rec.biased_mask
         eligible += len(rec.record.truth_classes & problematic)
         # mask area is a whole number of planted patches
         assert int(mask.sum()) % patch == 0

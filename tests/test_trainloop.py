@@ -3,242 +3,278 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import segdebias.trainloop as tl
 from segdebias.core import DatasetManifest, ImageRecord, LabelMap
-from segdebias.evaluation import ConfusionMatrix, accumulate, report
+from segdebias.evaluation import ConfusionMatrix, _tally, report
 from segdebias.trainloop import (
     SegHead,
     TrainConfig,
-    certainty_mask,
-    complement_label,
-    ema_update,
-    forward,
-    teacher_label,
+    _certainty,
+    _flat64,
+    _gradient,
+    _restricted_argmax,
+    _softmax,
+    _wce,
     train,
-    wce_gradient,
-    wce_loss,
     write_metrics_csv,
 )
 
 from conftest import random_feature_map, single_record_manifest
 
 
-def zero_head(num_classes, dim):
-    return SegHead(weights=np.zeros((num_classes + 1, dim)), bias=np.zeros(num_classes + 1))
+def allowed(truth_classes):
+    """The channels the teacher may pick: background plus the truth classes."""
+    return np.asarray([0] + sorted(truth_classes), dtype=np.int16)
+
+
+def single_image(tmp_path):
+    """One 4x4 image, C=2: manifest, features, debiased label, ground truth."""
+    rng = np.random.default_rng(14)
+    fmap = random_feature_map(rng, 4, 4, 4)
+    grid = rng.integers(0, 3, (4, 4)).astype(np.int16)
+    grid[0, 0] = -1
+    gt = LabelMap(np.abs(grid).astype(np.int16), 2)
+    label = LabelMap(np.where(grid == -1, 0, grid).astype(np.int16), 2)
+    manifest = single_record_manifest(tmp_path, fmap, label, {1, 2}, gt=gt)
+    debiased = {"img": LabelMap(grid, 2)}
+    return manifest, {"img": fmap}, debiased, {"img": gt}
+
+
+def loss_inputs(monkeypatch, grid, truth, teacher_bias, config=TrainConfig()):
+    """The (labels, weights) one training step feeds the loss, with a zero-weight
+    teacher whose bias alone decides its fill."""
+    rng = np.random.default_rng(15)
+    grid = np.asarray(grid, dtype=np.int16)
+    fmap = random_feature_map(rng, 3, *grid.shape)
+    num_classes = len(teacher_bias) - 1
+    record = ImageRecord("img", "img.f", "img.l", frozenset(truth))
+    manifest = DatasetManifest((record,), num_classes=num_classes, embedding_dim=3)
+    (target,) = tl._targets(manifest, {"img": LabelMap(grid, num_classes)}, {"img": fmap})
+    seen = {}
+
+    def spy(probs, labels, weights):
+        seen.update(labels=labels.reshape(grid.shape), weights=weights.reshape(grid.shape))
+        return 0.0
+
+    monkeypatch.setattr(tl, "_wce", spy)
+    weights = np.zeros((num_classes + 1, 3))
+    bias = np.asarray(teacher_bias, dtype=np.float64)
+    tl._step(target, weights, bias, weights, bias, config)
+    return seen["labels"], seen["weights"]
+
+
+def column(values):
+    """One pixel's (C+1, 1) probability column."""
+    return np.asarray(values, dtype=np.float64)[:, None]
 
 
 class TestForward:
     def test_zero_head_is_uniform(self):
         rng = np.random.default_rng(0)
         fmap = random_feature_map(rng, 3, 2, 2)
-        probs = forward(zero_head(3, 3), fmap)
+        probs = _softmax(np.zeros((4, 3)), np.zeros(4), _flat64(fmap))
         assert np.allclose(probs, 0.25, atol=1e-12)
 
     def test_channel_sums_to_one(self):
         rng = np.random.default_rng(1)
         fmap = random_feature_map(rng, 4, 3, 5)
-        head = SegHead(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-        probs = forward(head, fmap)
+        probs = _softmax(rng.normal(size=(3, 4)), rng.normal(size=3), _flat64(fmap))
         assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-6)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(2)
-        fmap = random_feature_map(rng, 4, 3, 3)
-        head = SegHead(weights=rng.normal(size=(3, 4)), bias=rng.normal(size=3))
-        shifted = SegHead(weights=head.weights, bias=head.bias + 7.3)
-        assert np.allclose(forward(head, fmap), forward(shifted, fmap), atol=1e-9)
-
-    def test_dim_mismatch(self):
-        rng = np.random.default_rng(3)
-        fmap = random_feature_map(rng, 4, 2, 2)
-        with pytest.raises(ValueError, match="dim"):
-            forward(zero_head(2, 5), fmap)
+        flat = _flat64(random_feature_map(rng, 4, 3, 3))
+        weights, bias = rng.normal(size=(3, 4)), rng.normal(size=3)
+        shifted = _softmax(weights, bias + 7.3, flat)
+        assert np.allclose(_softmax(weights, bias, flat), shifted, atol=1e-9)
 
 
 class TestTeacherLabel:
     def test_restricted_argmax(self):
-        probs = np.array([0.2, 0.5, 0.3])[:, None, None]
-        label = teacher_label(probs, truth_classes={2})
-        assert label.data[0, 0] == 2  # channel 1 is masked out, 0.3 > 0.2
+        probs = column([0.2, 0.5, 0.3])
+        assert _restricted_argmax(probs, allowed({2}))[0] == 2  # channel 1 is masked out
 
     def test_uniform_ties_to_background(self):
-        probs = np.full((4, 1, 1), 0.25)
-        assert teacher_label(probs, truth_classes={1, 2, 3}).data[0, 0] == 0
+        assert _restricted_argmax(np.full((4, 1), 0.25), allowed({1, 2, 3}))[0] == 0
 
     def test_all_truth_is_plain_argmax(self):
         rng = np.random.default_rng(4)
-        logits = rng.normal(size=(4, 3, 3))
+        logits = rng.normal(size=(4, 9))
         probs = np.exp(logits) / np.exp(logits).sum(axis=0, keepdims=True)
-        label = teacher_label(probs, truth_classes={1, 2, 3})
-        assert np.array_equal(label.data, np.argmax(probs, axis=0).astype(np.int16))
+        labels = _restricted_argmax(probs, allowed({1, 2, 3}))
+        assert np.array_equal(labels, np.argmax(probs, axis=0))
 
     def test_never_emits_sentinel(self):
         rng = np.random.default_rng(5)
-        probs = rng.random((3, 4, 4))
+        probs = rng.random((3, 16))
         probs /= probs.sum(axis=0, keepdims=True)
-        assert not teacher_label(probs, truth_classes={2}).has_sentinel()
+        assert set(_restricted_argmax(probs, allowed({2})).tolist()) <= {0, 2}
 
 
 class TestCertaintyMask:
     def test_decided_pixels_are_one(self):
-        ydb = LabelMap(np.array([[2]], dtype=np.int16), 3)
-        probs = np.full((4, 1, 1), 0.25)
-        assert certainty_mask(ydb, probs, {1, 3})[0, 0] == 1.0
+        assert _certainty(np.array([False]), np.full((4, 1), 0.25), [1, 3])[0] == 1.0
 
     def test_sentinel_takes_max_truth_probability(self):
-        ydb = LabelMap(np.array([[-1]], dtype=np.int16), 3)
-        probs = np.array([0.5, 0.3, 0.15, 0.05])[:, None, None]
-        assert certainty_mask(ydb, probs, {1, 3}) == pytest.approx(np.array([[0.3]]))
+        probs = column([0.5, 0.3, 0.15, 0.05])
+        assert _certainty(np.array([True]), probs, [1, 3]) == pytest.approx([0.3])
 
     def test_uniform_probs(self):
-        ydb = LabelMap(np.array([[-1]], dtype=np.int16), 4)
-        probs = np.full((5, 1, 1), 0.2)
-        assert certainty_mask(ydb, probs, {1, 2, 3, 4})[0, 0] == pytest.approx(0.2)
+        probs = np.full((5, 1), 0.2)
+        assert _certainty(np.array([True]), probs, [1, 2, 3, 4])[0] == pytest.approx(0.2)
 
     def test_all_ones_when_no_sentinel(self):
         rng = np.random.default_rng(6)
-        ydb = LabelMap(rng.integers(0, 3, (4, 4)).astype(np.int16), 2)
-        probs = rng.random((3, 4, 4))
+        probs = rng.random((3, 16))
         probs /= probs.sum(axis=0, keepdims=True)
-        assert np.all(certainty_mask(ydb, probs, {1, 2}) == 1.0)
+        assert np.all(_certainty(np.zeros(16, dtype=bool), probs, [1, 2]) == 1.0)
 
 
 class TestComplement:
-    def test_fill_and_keep(self):
-        ydb = LabelMap(np.array([[-1, 2]], dtype=np.int16), 4)
-        yte = LabelMap(np.array([[4, 4]], dtype=np.int16), 4)
-        out = complement_label(ydb, yte)
-        assert out.data.tolist() == [[4, 2]]
-        assert not out.has_sentinel()
+    def test_fill_and_keep(self, monkeypatch):
+        labels, _ = loss_inputs(monkeypatch, [[-1, 2]], {2, 4}, [0, 0, 0, 0, 5.0])
+        assert labels.tolist() == [[4, 2]]
 
-    def test_noop_without_sentinel(self):
-        ydb = LabelMap(np.array([[1, 0]], dtype=np.int16), 2)
-        yte = LabelMap(np.array([[2, 2]], dtype=np.int16), 2)
-        assert np.array_equal(complement_label(ydb, yte).data, ydb.data)
+    def test_noop_without_sentinel(self, monkeypatch):
+        labels, _ = loss_inputs(monkeypatch, [[1, 0]], {1, 2}, [0, 0, 5.0])
+        assert labels.tolist() == [[1, 0]]
 
-    def test_rejects_sentinel_teacher(self):
-        ydb = LabelMap(np.array([[1]], dtype=np.int16), 1)
-        yte = LabelMap(np.array([[-1]], dtype=np.int16), 1)
-        with pytest.raises(ValueError, match="-1"):
-            complement_label(ydb, yte)
+    def test_rejects_sentinel_teacher(self, monkeypatch):
+        # the fill comes from {0} plus the truth classes, never -1 or another class:
+        # the teacher's favourite, class 2, is not a truth class of this image
+        labels, _ = loss_inputs(monkeypatch, [[-1, -1]], {1}, [0, 1.0, 5.0, 0])
+        assert labels.tolist() == [[1, 1]]
 
 
 class TestWCELoss:
     def test_perfect_prediction_zero_loss(self):
-        probs = np.zeros((3, 2, 2))
+        probs = np.zeros((3, 4))
         probs[1] = 1.0
-        yco = LabelMap(np.ones((2, 2), dtype=np.int16), 2)
-        assert wce_loss(probs, yco, np.ones((2, 2))) == 0.0
+        assert _wce(probs, np.ones(4, dtype=np.int16), np.ones(4)) == 0.0
 
     def test_zero_weights_zero_loss(self):
         rng = np.random.default_rng(7)
-        probs = rng.random((3, 2, 2))
+        probs = rng.random((3, 4))
         probs /= probs.sum(axis=0, keepdims=True)
-        yco = LabelMap(rng.integers(0, 3, (2, 2)).astype(np.int16), 2)
-        assert wce_loss(probs, yco, np.zeros((2, 2))) == 0.0
+        labels = rng.integers(0, 3, 4).astype(np.int16)
+        assert _wce(probs, labels, np.zeros(4)) == 0.0
 
     def test_single_pixel_value(self):
         p = float(np.exp(-2.0))
-        probs = np.array([p, 1.0 - p])[:, None, None]
-        yco = LabelMap(np.zeros((1, 1), dtype=np.int16), 1)
-        assert wce_loss(probs, yco, np.full((1, 1), 0.5)) == pytest.approx(1.0, abs=1e-12)
+        labels = np.zeros(1, dtype=np.int16)
+        assert _wce(column([p, 1.0 - p]), labels, np.full(1, 0.5)) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_in_disjoint_weights(self):
         rng = np.random.default_rng(8)
-        probs = rng.random((4, 3, 3))
+        probs = rng.random((4, 9))
         probs /= probs.sum(axis=0, keepdims=True)
-        yco = LabelMap(rng.integers(0, 4, (3, 3)).astype(np.int16), 3)
-        w1 = rng.random((3, 3)) * (rng.random((3, 3)) < 0.5)
-        w2 = rng.random((3, 3)) * (w1 == 0)
-        assert wce_loss(probs, yco, w1 + w2) == wce_loss(probs, yco, w1) + wce_loss(
-            probs, yco, w2
-        )
+        labels = rng.integers(0, 4, 9).astype(np.int16)
+        w1 = rng.random(9) * (rng.random(9) < 0.5)
+        w2 = rng.random(9) * (w1 == 0)
+        assert _wce(probs, labels, w1 + w2) == _wce(probs, labels, w1) + _wce(probs, labels, w2)
 
-    def test_rejects_sentinel(self):
-        probs = np.full((2, 1, 1), 0.5)
-        yco = LabelMap(np.array([[-1]], dtype=np.int16), 1)
-        with pytest.raises(ValueError, match="-1"):
-            wce_loss(probs, yco, np.ones((1, 1)))
+    def test_rejects_sentinel(self, monkeypatch):
+        # no -1 reaches the loss: complemented it is filled, ignored it is class 0 at weight 0
+        labels, _ = loss_inputs(monkeypatch, [[-1, 1]], {1}, [0, 5.0])
+        assert labels.tolist() == [[1, 1]]
+        ignored = TrainConfig(complement=False)
+        labels, weights = loss_inputs(monkeypatch, [[-1, 1]], {1}, [0, 5.0], ignored)
+        assert labels.tolist() == [[0, 1]] and weights.tolist() == [[0.0, 1.0]]
 
 
 class TestGradient:
     def test_zero_weight_zero_gradient(self):
         rng = np.random.default_rng(9)
-        fmap = random_feature_map(rng, 3, 2, 2)
-        head = SegHead(weights=rng.normal(size=(3, 3)), bias=rng.normal(size=3))
-        yco = LabelMap(rng.integers(0, 3, (2, 2)).astype(np.int16), 2)
-        grad_w, grad_b = wce_gradient(head, fmap, yco, np.zeros((2, 2)))
+        flat = _flat64(random_feature_map(rng, 3, 2, 2))
+        probs = _softmax(rng.normal(size=(3, 3)), rng.normal(size=3), flat)
+        labels = rng.integers(0, 3, 4).astype(np.int16)
+        grad_w, grad_b = _gradient(probs, flat, labels, np.zeros(4))
         assert not grad_w.any() and not grad_b.any()
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
-        fmap = random_feature_map(rng, 3, 2, 3)
-        head = SegHead(weights=rng.normal(size=(3, 3)), bias=rng.normal(size=3))
-        yco = LabelMap(rng.integers(0, 3, (2, 3)).astype(np.int16), 2)
-        weights = rng.random((2, 3))
-        grad_w, grad_b = wce_gradient(head, fmap, yco, weights)
+        flat = _flat64(random_feature_map(rng, 3, 2, 3))
+        weights, bias = rng.normal(size=(3, 3)), rng.normal(size=3)
+        labels = rng.integers(0, 3, 6).astype(np.int16)
+        pixel_weights = rng.random(6)
+        grad_w, grad_b = _gradient(_softmax(weights, bias, flat), flat, labels, pixel_weights)
         step = 1e-5
-        for index in np.ndindex(head.weights.shape):
-            perturb = np.zeros_like(head.weights)
+        for index in np.ndindex(weights.shape):
+            perturb = np.zeros_like(weights)
             perturb[index] = step
-            up = wce_loss(forward(SegHead(head.weights + perturb, head.bias), fmap), yco, weights)
-            down = wce_loss(forward(SegHead(head.weights - perturb, head.bias), fmap), yco, weights)
+            up = _wce(_softmax(weights + perturb, bias, flat), labels, pixel_weights)
+            down = _wce(_softmax(weights - perturb, bias, flat), labels, pixel_weights)
             numeric = (up - down) / (2 * step)
             assert numeric == pytest.approx(grad_w[index], rel=1e-4, abs=1e-8)
 
 
 class TestEMA:
-    def test_momentum_zero_copies_student(self):
-        rng = np.random.default_rng(11)
-        teacher = SegHead(rng.normal(size=(2, 3)), rng.normal(size=2))
-        student = SegHead(rng.normal(size=(2, 3)), rng.normal(size=2))
-        out = ema_update(teacher, student, 0.0)
-        assert np.array_equal(out.weights, student.weights)
-        assert np.array_equal(out.bias, student.bias)
+    """The teacher update inside `train`, on one image so that each epoch is one step."""
 
-    def test_fixpoint(self):
-        rng = np.random.default_rng(12)
-        head = SegHead(rng.normal(size=(2, 3)), rng.normal(size=2))
-        out = ema_update(head, head, 0.99)
-        assert np.allclose(out.weights, head.weights)
+    def _initial(self, manifest, seed):
+        rng = np.random.default_rng(seed)
+        return SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
 
-    def test_scalar_step(self):
-        teacher = SegHead(np.zeros((1, 1)), np.zeros(1))
-        student = SegHead(np.ones((1, 1)), np.ones(1))
-        out = ema_update(teacher, student, 0.99)
-        assert out.weights[0, 0] == pytest.approx(0.01)
+    def test_momentum_zero_copies_student(self, tmp_path):
+        manifest, features, debiased, gts = single_image(tmp_path)
+        config = TrainConfig(epochs=3, ema_momentum=0.0, learning_rate=0.05)
+        result = train(manifest, debiased, config, features=features, ground_truth=gts)
+        assert np.array_equal(result.teacher.weights, result.student.weights)
+        assert np.array_equal(result.teacher.bias, result.student.bias)
 
-    def test_geometric_convergence(self):
-        rng = np.random.default_rng(13)
-        student = SegHead(rng.normal(size=(2, 4)), rng.normal(size=2))
-        teacher = SegHead(rng.normal(size=(2, 4)), rng.normal(size=2))
+    def test_fixpoint(self, tmp_path, monkeypatch):
+        manifest, features, debiased, gts = single_image(tmp_path)
+        def no_gradient(probs, flat, *_):
+            return np.zeros((probs.shape[0], flat.shape[0])), np.zeros(probs.shape[0])
+
+        monkeypatch.setattr(tl, "_gradient", no_gradient)
+        config = TrainConfig(epochs=5)
+        result = train(manifest, debiased, config, features=features, ground_truth=gts)
+        initial = self._initial(manifest, 0)
+        assert np.array_equal(result.student.weights, initial.weights)
+        assert np.allclose(result.teacher.weights, initial.weights)
+        assert np.allclose(result.teacher.bias, initial.bias)
+
+    def test_scalar_step(self, tmp_path):
+        manifest, features, debiased, gts = single_image(tmp_path)
+        config = TrainConfig(epochs=1, ema_momentum=0.99, learning_rate=0.05)
+        result = train(manifest, debiased, config, features=features, ground_truth=gts)
+        initial = self._initial(manifest, 0)
+        expected = 0.99 * initial.weights + (1.0 - 0.99) * result.student.weights
+        assert np.array_equal(result.teacher.weights, expected)
+        assert not np.array_equal(result.student.weights, initial.weights)
+
+    def test_geometric_convergence(self, tmp_path, monkeypatch):
+        manifest, features, debiased, _ = single_image(tmp_path)
         momentum = 0.9
-        gap0 = np.linalg.norm(teacher.weights - student.weights)
+        steps = []
+
+        def first_step_only(probs, flat, *_):
+            # a fixed gradient on the first step of a run, none after
+            grad = np.full((probs.shape[0], flat.shape[0]), 0.0 if steps else 1.0)
+            steps.append(None)
+            return grad, grad[:, 0].copy()
+
+        monkeypatch.setattr(tl, "_gradient", first_step_only)
+        initial = self._initial(manifest, 0)
         for n in range(1, 12):
-            teacher = ema_update(teacher, student, momentum)
-            gap = np.linalg.norm(teacher.weights - student.weights)
+            steps.clear()
+            config = TrainConfig(epochs=n, ema_momentum=momentum, learning_rate=0.1)
+            result = train(manifest, debiased, config, features=features, ground_truth={})
+            gap0 = np.linalg.norm(initial.weights - result.student.weights)
+            gap = np.linalg.norm(result.teacher.weights - result.student.weights)
+            assert gap0 > 0.0
             assert gap <= momentum**n * gap0 + 1e-12
 
     def test_momentum_range(self):
-        head = SegHead(np.zeros((1, 1)), np.zeros(1))
-        with pytest.raises(ValueError, match="momentum"):
-            ema_update(head, head, 1.0)
+        for momentum in (1.0, -0.1):
+            with pytest.raises(ValueError, match="momentum"):
+                TrainConfig(ema_momentum=momentum)
 
 
 class TestTrain:
-    def _setup(self, tmp_path, sentinel=True):
-        rng = np.random.default_rng(14)
-        fmap = random_feature_map(rng, 4, 4, 4)
-        grid = rng.integers(0, 3, (4, 4)).astype(np.int16)
-        if sentinel:
-            grid[0, 0] = -1
-        gt = LabelMap(np.abs(grid).astype(np.int16), 2)
-        label = LabelMap(np.where(grid == -1, 0, grid).astype(np.int16), 2)
-        manifest = single_record_manifest(tmp_path, fmap, label, {1, 2}, gt=gt)
-        debiased = {"img": LabelMap(grid, 2)}
-        return manifest, {"img": fmap}, debiased, {"img": gt}
-
     def test_zero_epochs_returns_initial_head(self, tmp_path):
-        manifest, features, debiased, gts = self._setup(tmp_path)
+        manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=0, seed=5)
         r1 = train(manifest, debiased, config, features=features, ground_truth=gts)
         r2 = train(manifest, debiased, config, features=features, ground_truth=gts)
@@ -247,7 +283,7 @@ class TestTrain:
         assert np.array_equal(r1.teacher.weights, r1.student.weights)
 
     def test_training_reduces_loss(self, tmp_path):
-        manifest, features, debiased, gts = self._setup(tmp_path)
+        manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=12, learning_rate=1e-3, seed=0)
         result = train(manifest, debiased, config, features=features, ground_truth=gts)
         losses = [m.loss for m in result.metrics]
@@ -256,7 +292,7 @@ class TestTrain:
             assert losses[i] <= losses[i - 1] * 1.05
 
     def test_metrics_carry_scores_with_ground_truth(self, tmp_path):
-        manifest, features, debiased, gts = self._setup(tmp_path)
+        manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=2, seed=0)
         result = train(manifest, debiased, config, features=features, ground_truth=gts)
         assert all(m.miou is not None for m in result.metrics)
@@ -264,7 +300,7 @@ class TestTrain:
         assert not result.predictions["img"].has_sentinel()
 
     def test_ground_truth_outside_the_manifest_is_ignored(self, tmp_path):
-        manifest, features, debiased, gts = self._setup(tmp_path)
+        manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=2, seed=0)
         extra = {**gts, "other": gts["img"]}
         r1 = train(manifest, debiased, config, features=features, ground_truth=gts)
@@ -273,36 +309,38 @@ class TestTrain:
         assert all(m.miou is not None for m in r2.metrics)
 
     def test_determinism(self, tmp_path):
-        manifest, features, debiased, gts = self._setup(tmp_path)
+        manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=4, seed=9)
         r1 = train(manifest, debiased, config, features=features, ground_truth=gts)
         r2 = train(manifest, debiased, config, features=features, ground_truth=gts)
         assert np.array_equal(r1.teacher.weights, r2.teacher.weights)
         assert np.array_equal(r1.student.bias, r2.student.bias)
 
+    def test_feature_dim_mismatch_names_the_image(self, tmp_path):
+        manifest, _, debiased, gts = single_image(tmp_path)
+        wide = {"img": random_feature_map(np.random.default_rng(3), 5, 4, 4)}
+        with pytest.raises(ValueError, match="img: feature dim 5 != manifest embedding_dim 4"):
+            train(manifest, debiased, TrainConfig(epochs=1), features=wide, ground_truth=gts)
+
     def test_missing_debiased_label_rejected(self, tmp_path):
-        manifest, features, _, gts = self._setup(tmp_path)
+        manifest, features, _, gts = single_image(tmp_path)
         with pytest.raises(ValueError, match="missing debiased label"):
             train(manifest, {}, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
     def test_non_finite_loss_aborts(self, tmp_path, monkeypatch):
-        manifest, features, debiased, gts = self._setup(tmp_path)
-        import segdebias.trainloop as tl
-
+        manifest, features, debiased, gts = single_image(tmp_path)
         monkeypatch.setattr(tl, "_wce", lambda *a, **k: float("nan"))
         with pytest.raises(RuntimeError, match="non-finite loss"):
             train(manifest, debiased, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
     def test_non_finite_update_aborts(self, tmp_path):
-        manifest, features, debiased, gts = self._setup(tmp_path)
+        manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=1, learning_rate=float("inf"))
         with pytest.raises(ValueError, match="head parameters must be finite"):
             train(manifest, debiased, config, features=features, ground_truth=gts)
 
     def test_label_shape_mismatch_rejected_before_first_step(self, tmp_path, monkeypatch):
-        manifest, features, debiased, gts = self._setup(tmp_path)
-        import segdebias.trainloop as tl
-
+        manifest, features, debiased, gts = single_image(tmp_path)
         def no_step(*args):
             raise AssertionError("a step ran before the shape check")
 
@@ -418,10 +456,11 @@ def reference_train(manifest, debiased_labels, config, *, features, ground_truth
             epoch_loss += loss
         if have_gt:
             predictions = _ref_predict(teacher, records, features)
-            cm = ConfusionMatrix.empty(manifest.num_classes)
-            for image_id in sorted(ground_truth):
-                cm = accumulate(cm, ground_truth[image_id], predictions[image_id])
-            rep = report(cm)
+            counts = sum(
+                _tally(ground_truth[image_id], predictions[image_id], manifest.num_classes)
+                for image_id in sorted(ground_truth)
+            )
+            rep = report(ConfusionMatrix(counts))
             metrics.append((epoch, epoch_loss, rep.miou, rep.fp_rate, rep.fn_rate))
         else:
             metrics.append((epoch, epoch_loss, None, None, None))

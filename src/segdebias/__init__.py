@@ -11,9 +11,8 @@ cross-entropy.
 from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
 from .bank import Centroid, CentroidBank, build_centroid_bank, kmeans_spherical
 from .selection import DebiasedCentroidSet, select_debiased
-from .debiasing import binarize, debias_label, similarity_map
 from .trainloop import SegHead, TrainConfig, TrainResult, train
-from .evaluation import ConfusionMatrix, EvalReport, report
+from .evaluation import EvalReport
 from .synth import SynthConfig, SynthCorpus, generate
 from .pipeline import PipelineParams, run_pipeline, sweep
 
@@ -30,16 +29,11 @@ __all__ = [
     "kmeans_spherical",
     "DebiasedCentroidSet",
     "select_debiased",
-    "binarize",
-    "debias_label",
-    "similarity_map",
     "SegHead",
     "TrainConfig",
     "TrainResult",
     "train",
-    "ConfusionMatrix",
     "EvalReport",
-    "report",
     "SynthConfig",
     "SynthCorpus",
     "generate",

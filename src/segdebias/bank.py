@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import DatasetManifest, FeatureMap, LabelMap, unit_rows
+from .core import DatasetManifest, FeatureMap, LabelMap, _unit_vector, unit_rows
 
 MAX_LLOYD_ITERATIONS = 100
 
@@ -25,7 +25,6 @@ __all__ = [
     "CentroidBank",
     "KMeansResult",
     "decompose_class_vectors",
-    "class_positions",
     "kmeans_spherical",
     "derive_seed",
     "build_centroid_bank",
@@ -43,18 +42,9 @@ class Centroid:
     member_count: int
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64)
-        if vec.ndim != 1:
-            raise ValueError("centroid vector must be 1-D")
-        norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"centroid vector must be unit-norm, got |v|={norm}")
+        object.__setattr__(self, "vector", _unit_vector(self.vector, "centroid vector"))
         if self.member_count < 1:
             raise ValueError("member_count must be >= 1")
-        if vec.flags.writeable:
-            vec = vec.copy()
-            vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
 
     def sort_key(self) -> tuple:
         return (self.class_id, self.image_id, self.cluster_index)
@@ -105,11 +95,6 @@ class KMeansResult:
     counts: np.ndarray  # (m,)
     assignments: np.ndarray  # (n,)
     objective_trace: tuple[float, ...]  # total within-cluster cosine distance
-
-
-def class_positions(labels: LabelMap, class_id: int) -> np.ndarray:
-    """Row-major (n, 2) array of (y, x) positions where labels == class_id."""
-    return np.argwhere(labels.data == class_id)
 
 
 def decompose_class_vectors(fmap: FeatureMap, labels: LabelMap, class_id: int) -> np.ndarray:

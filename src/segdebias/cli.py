@@ -76,12 +76,10 @@ def _load_label_dir(directory, manifest: DatasetManifest, kind: str):
 
 def _cmd_synth(args) -> int:
     if args.config:
-        payload = json.loads(Path(args.config).read_text())
-        if "image_size" in payload:
-            payload["image_size"] = tuple(payload["image_size"])
-        if "problematic_classes" in payload:
-            payload["problematic_classes"] = tuple(payload["problematic_classes"])
-        config = SynthConfig(**payload)
+        try:
+            config = SynthConfig(**json.loads(Path(args.config).read_text()))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{args.config}: {exc}") from None
     else:
         config = SynthConfig.standard()
     corpus = generate(config, args.out)

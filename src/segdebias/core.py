@@ -40,6 +40,18 @@ def _frozen_array(data: np.ndarray) -> np.ndarray:
     return data
 
 
+def _unit_vector(vec, what: str) -> np.ndarray:
+    """The vector as a read-only float64 array, if it is 1-D and unit-norm.
+    A NaN or infinite entry fails the norm check."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError(f"{what} must be 1-D")
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= 1e-6:
+        raise ValueError(f"{what} must be unit-norm, got |v|={norm}")
+    return _frozen_array(vec)
+
+
 @dataclass(frozen=True)
 class FeatureMap:
     """Per-pixel embedding tensor, shape (D, H, W), stored float32.

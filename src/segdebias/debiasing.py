@@ -1,8 +1,8 @@
-"""Per-image similarity maps against the debiased centroids, binarization,
-and rewriting of impostor foreground pixels to the -1 sentinel.
+"""Rewriting impostor foreground pixels to the -1 sentinel, one image at a time.
 
-The similarity map is binarized with one global threshold; foreground
-pixels below it become -1.
+A pixel's similarity is its max cosine to the debiased centroids of the
+image's truth classes, negatives clipped to zero; foreground pixels whose
+similarity stays below one global threshold become -1.
 """
 
 from __future__ import annotations
@@ -14,15 +14,10 @@ import numpy as np
 from .core import FeatureMap, LabelMap
 from .selection import DebiasedCentroidSet
 
-__all__ = [
-    "similarity_map",
-    "binarize",
-    "debias_label",
-    "debias_image",
-]
+__all__ = ["debias_image"]
 
 
-def similarity_map(
+def _similarity(
     fmap: FeatureMap, centroids: DebiasedCentroidSet, truth_classes: Iterable[int]
 ) -> np.ndarray:
     """Per-pixel max cosine similarity over the image's truth classes,
@@ -48,34 +43,6 @@ def similarity_map(
     return np.maximum(best, 0.0).reshape(h, w)
 
 
-def binarize(sim: np.ndarray, threshold: float) -> np.ndarray:
-    """Boolean keep-mask: True wherever the similarity reaches the threshold."""
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    sim = np.asarray(sim)
-    if sim.ndim != 2:
-        raise ValueError("similarity map must be (H, W)")
-    return sim >= threshold
-
-
-def debias_label(pseudo: LabelMap, mask: np.ndarray) -> LabelMap:
-    """Rewrite foreground pixels the keep-mask rejects to -1.
-
-    Background pixels are never touched, so every output value is either the
-    input value or -1 on a formerly-foreground pixel.
-    """
-    mask = np.asarray(mask)
-    if mask.shape != pseudo.spatial_shape:
-        raise ValueError(f"mask shape {mask.shape} != label shape {pseudo.spatial_shape}")
-    if mask.dtype != bool:
-        mask = mask.astype(bool)
-    if pseudo.has_sentinel():
-        raise ValueError("pseudo label must not already contain -1")
-    out = pseudo.data.copy()
-    out[(pseudo.data > 0) & ~mask] = -1
-    return LabelMap(out, pseudo.num_classes)
-
-
 def debias_image(
     fmap: FeatureMap,
     pseudo: LabelMap,
@@ -83,6 +50,22 @@ def debias_image(
     truth_classes: Iterable[int],
     threshold: float,
 ) -> LabelMap:
-    """similarity_map -> binarize -> sentinel rewrite, for one image."""
-    sim = similarity_map(fmap, centroids, truth_classes)
-    return debias_label(pseudo, binarize(sim, threshold))
+    """Rewrite to -1 every foreground pixel whose similarity does not reach
+    the threshold.
+
+    Background pixels are never touched, so every output value is either the
+    input value or -1 on a formerly-foreground pixel.  A NaN similarity never
+    reaches the threshold.
+    """
+    if not (0.0 <= threshold <= 1.0):
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    if pseudo.spatial_shape != fmap.spatial_shape:
+        raise ValueError(
+            f"label shape {pseudo.spatial_shape} != feature shape {fmap.spatial_shape}"
+        )
+    if pseudo.has_sentinel():
+        raise ValueError("pseudo label must not already contain -1")
+    keep = _similarity(fmap, centroids, truth_classes) >= threshold
+    out = pseudo.data.copy()
+    out[(pseudo.data > 0) & ~keep] = -1
+    return LabelMap(out, pseudo.num_classes)

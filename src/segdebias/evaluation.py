@@ -18,34 +18,13 @@ import numpy as np
 from .core import LabelMap
 
 __all__ = [
-    "ConfusionMatrix",
     "EvalReport",
-    "report",
     "evaluate_predictions",
     "require_shared_ids",
     "report_text",
     "report_json",
     "per_class_fp_rows",
 ]
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """(C+1, C+1) pixel counts; rows = ground truth, cols = prediction."""
-
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] < 2:
-            raise ValueError("confusion matrix must be square with >= 2 channels")
-        if (counts < 0).any():
-            raise ValueError("confusion counts must be non-negative")
-        if counts.flags.writeable:
-            counts = counts.copy()
-            counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
 
 
 def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
@@ -71,8 +50,8 @@ class EvalReport:
     per_class_fp: Mapping[int, float]
 
 
-def report(cm: ConfusionMatrix) -> EvalReport:
-    counts = cm.counts
+def _report(counts: np.ndarray) -> EvalReport:
+    """Scores from a (C+1, C+1) count matrix; rows = ground truth, cols = prediction."""
     tp = np.diag(counts).astype(np.float64)
     gt_totals = counts.sum(axis=1).astype(np.float64)
     pred_totals = counts.sum(axis=0).astype(np.float64)
@@ -125,7 +104,7 @@ def evaluate_predictions(
     counts = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
     for image_id in sorted(ground_truth):
         counts += _tally(ground_truth[image_id], predictions[image_id], num_classes)
-    return report(ConfusionMatrix(counts))
+    return _report(counts)
 
 
 def report_text(rep: EvalReport) -> str:

@@ -159,7 +159,7 @@ def write_label_map(path, lmap: LabelMap) -> None:
     atomic_write_bytes(path, blob)
 
 
-def read_label_map(path, num_classes: Optional[int] = None) -> LabelMap:
+def read_label_map(path, num_classes: int) -> LabelMap:
     r = _Reader(path)
     r.expect_magic(MAGIC_LABELS)
     h = r.spatial("H")
@@ -167,8 +167,6 @@ def read_label_map(path, num_classes: Optional[int] = None) -> LabelMap:
     payload = r.take(h * w * 2, "label payload")
     r.expect_end()
     data = np.frombuffer(payload, dtype="<i2").reshape(h, w)
-    if num_classes is None:
-        num_classes = max(1, int(data.max(initial=0)))
     return r.make(16, LabelMap, data, num_classes)
 
 
@@ -283,17 +281,23 @@ def write_centroid_set(path, cset) -> None:
 
 
 def read_centroid_set(path):
+    """The debiased centroid set in a JSON file; every error names the file."""
     from .selection import DebiasedCentroidSet
 
-    payload = json.loads(Path(path).read_text())
-    per_class = {}
-    counts = {}
-    for key, entry in payload["classes"].items():
-        per_class[int(key)] = np.asarray(entry["vector"], dtype=np.float64)
-        counts[int(key)] = int(entry["selected_count"])
-    return DebiasedCentroidSet(
-        per_class=per_class, alpha=float(payload["alpha"]), selected_counts=counts
-    )
+    try:
+        payload = json.loads(Path(path).read_text())
+        per_class = {}
+        counts = {}
+        for key, entry in payload["classes"].items():
+            per_class[int(key)] = np.asarray(entry["vector"], dtype=np.float64)
+            counts[int(key)] = int(entry["selected_count"])
+        return DebiasedCentroidSet(
+            per_class=per_class, alpha=float(payload["alpha"]), selected_counts=counts
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- manifest -------------------------------------------------------------------

@@ -16,6 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .bank import Centroid, CentroidBank
+from .core import _unit_vector
 
 __all__ = [
     "ScoredCentroid",
@@ -48,13 +49,13 @@ class DebiasedCentroidSet:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        per_class = {}
-        for class_id, vec in self.per_class.items():
-            vec = np.asarray(vec, dtype=np.float64)
-            if vec.flags.writeable:
-                vec = vec.copy()
-                vec.setflags(write=False)
-            per_class[int(class_id)] = vec
+        per_class = {
+            int(c): _unit_vector(vec, f"class {c} centroid vector")
+            for c, vec in self.per_class.items()
+        }
+        lengths = sorted({vec.shape[0] for vec in per_class.values()})
+        if len(lengths) > 1:
+            raise ValueError(f"debiased centroid vectors differ in length: {lengths}")
         object.__setattr__(self, "per_class", per_class)
         object.__setattr__(
             self, "selected_counts", {int(c): int(n) for c, n in self.selected_counts.items()}

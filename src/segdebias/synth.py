@@ -252,24 +252,18 @@ class _Layout:
         return cls(target_rects=targets, patch_cells=cells, blob_area=blob_area)
 
     def patch_pixels(self, cell: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        return _leading_cells(self.patch_cells[cell], count)
+        return _cells(self.patch_cells[cell], count)
 
 
-def _leading_cells(rect: tuple[slice, slice], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """First `count` row-major pixels of a rectangle, as (ys, xs) arrays."""
+def _cells(
+    rect: tuple[slice, slice], count: int, last: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first (or last) `count` row-major pixels of a rectangle, as (ys, xs) arrays."""
     rows = np.arange(rect[0].start, rect[0].stop)
     cols = np.arange(rect[1].start, rect[1].stop)
     ys, xs = np.meshgrid(rows, cols, indexing="ij")
-    ys, xs = ys.ravel(), xs.ravel()
-    return ys[:count], xs[:count]
-
-
-def _trailing_cells(rect: tuple[slice, slice], count: int) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(rect[0].start, rect[0].stop)
-    cols = np.arange(rect[1].start, rect[1].stop)
-    ys, xs = np.meshgrid(rows, cols, indexing="ij")
-    ys, xs = ys.ravel(), xs.ravel()
-    return ys[-count:], xs[-count:]
+    keep = slice(-count, None) if last else slice(count)
+    return ys.ravel()[keep], xs.ravel()[keep]
 
 
 _CELL_BIAS_PRIMARY = 0
@@ -338,7 +332,7 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
             pseudo[rect] = cls
             gt[rect] = cls
             if n_detail > 0:
-                ys, xs = _trailing_cells(rect, n_detail)
+                ys, xs = _cells(rect, n_detail, last=True)
                 tex_idx[ys, xs] = detail_tex[cls]
 
         for cls, cell in ((primary, _CELL_BIAS_PRIMARY), (secondary, _CELL_BIAS_SECONDARY)):

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import formats
-from .core import DatasetManifest, FeatureMap, LabelMap
+from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array
 from .evaluation import evaluate_predictions
 
 LOG_CLAMP = 1e-12
@@ -44,11 +44,8 @@ class SegHead:
         if weights.ndim != 2 or bias.ndim != 1 or bias.shape[0] != weights.shape[0]:
             raise ValueError("head must be (C+1, D) weights with a (C+1,) bias")
         _require_finite(weights, bias)
-        for arr, name in ((weights, "weights"), (bias, "bias")):
-            if arr.flags.writeable:
-                arr = arr.copy()
-                arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "weights", _frozen_array(weights))
+        object.__setattr__(self, "bias", _frozen_array(bias))
 
     @classmethod
     def initialize(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from segdebias.bank import build_centroid_bank
+from segdebias.bank import build_centroid_bank, decompose_class_vectors
 from segdebias.core import DatasetManifest, FeatureMap, ImageRecord
 from segdebias.pipeline import debias_all
 from segdebias.selection import select_debiased
@@ -71,6 +71,33 @@ def cosine_similarity(a, b) -> float:
 def cosine_distance(a, b) -> float:
     """(1 - cosine_similarity(a, b)) / 2: 0 for parallel, 1 for antipodal."""
     return (1.0 - cosine_similarity(a, b)) / 2.0
+
+
+def centroid_quality(bank, features, pseudo_labels, ground_truth):
+    """(member_count, gt_match_count) of every foreground centroid, keyed by
+    (class_id, image_id, cluster_index): its member pixels re-assigned over
+    the image's class region, then counted against ground truth.  The
+    all-centroid oracle `analysis.selection_accuracy` is checked against."""
+    out = {}
+    for class_id in bank.foreground_classes():
+        by_image = {}
+        for c in bank.foreground[class_id]:
+            by_image.setdefault(c.image_id, []).append(c)
+        for image_id, centroids in by_image.items():
+            centroids.sort(key=lambda c: c.cluster_index)
+            label = pseudo_labels[image_id]
+            vectors = decompose_class_vectors(features[image_id], label, class_id)
+            positions = np.argwhere(label.data == class_id)
+            matrix = np.stack([c.vector for c in centroids])
+            assign = np.argmax(np.clip(vectors @ matrix.T, -1.0, 1.0), axis=1)
+            for j, c in enumerate(centroids):
+                member_pos = positions[assign == j]
+                member_gt = ground_truth[image_id].data[member_pos[:, 0], member_pos[:, 1]]
+                out[(class_id, image_id, c.cluster_index)] = (
+                    len(member_pos),
+                    int((member_gt == class_id).sum()),
+                )
+    return out
 
 
 def random_feature_map(rng, d=3, h=4, w=5) -> FeatureMap:

@@ -1,35 +1,35 @@
-from segdebias.analysis import centroid_quality, selection_accuracy
+import pytest
+
+from segdebias.analysis import selection_accuracy
+from segdebias.selection import score_foreground, selected_count
+
+from conftest import centroid_quality
+
+
+def _quality(corpus, bank):
+    return centroid_quality(
+        bank, corpus.features(), corpus.pseudo_labels(), corpus.ground_truth()
+    )
 
 
 def test_centroid_quality_covers_bank(standard_corpus, standard_bank):
-    quality = centroid_quality(
-        standard_bank,
-        standard_corpus.features(),
-        standard_corpus.pseudo_labels(),
-        standard_corpus.ground_truth(),
-    )
+    quality = _quality(standard_corpus, standard_bank)
     keys = {
         (class_id, c.image_id, c.cluster_index)
         for class_id, centroids in standard_bank.foreground.items()
         for c in centroids
     }
     assert set(quality) == keys
-    for stats in quality.values():
-        assert stats.member_count >= 1
-        assert 0 <= stats.gt_match_count <= stats.member_count
+    for members, matches in quality.values():
+        assert members >= 1
+        assert 0 <= matches <= members
 
 
 def test_member_counts_match_bank(standard_corpus, standard_bank):
-    quality = centroid_quality(
-        standard_bank,
-        standard_corpus.features(),
-        standard_corpus.pseudo_labels(),
-        standard_corpus.ground_truth(),
-    )
+    quality = _quality(standard_corpus, standard_bank)
     for class_id, centroids in standard_bank.foreground.items():
         for c in centroids:
-            stats = quality[(class_id, c.image_id, c.cluster_index)]
-            assert stats.member_count == c.member_count
+            assert quality[(class_id, c.image_id, c.cluster_index)][0] == c.member_count
 
 
 def test_selection_accuracy_is_per_class(standard_corpus, standard_bank):
@@ -42,3 +42,24 @@ def test_selection_accuracy_is_per_class(standard_corpus, standard_bank):
     )
     assert set(accuracy) == set(standard_bank.foreground_classes())
     assert all(0.0 <= a <= 1.0 for a in accuracy.values())
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.4, 1.0])
+def test_selection_accuracy_matches_all_centroid_oracle(standard_corpus, standard_bank, alpha):
+    quality = _quality(standard_corpus, standard_bank)
+    expected = {}
+    for class_id, scored in score_foreground(standard_bank).items():
+        take = selected_count(len(scored), alpha)
+        hits = 0
+        for s in scored[:take]:
+            members, matches = quality[(class_id, s.centroid.image_id, s.centroid.cluster_index)]
+            hits += matches * 2 > members
+        expected[class_id] = hits / take
+    accuracy = selection_accuracy(
+        standard_bank,
+        alpha,
+        standard_corpus.features(),
+        standard_corpus.pseudo_labels(),
+        standard_corpus.ground_truth(),
+    )
+    assert accuracy == expected

@@ -303,7 +303,10 @@ def test_derive_seed_stable_and_distinct():
 
 
 def test_centroid_validation():
-    with pytest.raises(ValueError, match="unit-norm"):
-        Centroid(np.array([2.0, 0.0]), 1, "a", 0, 5)
+    for vector in ([2.0, 0.0], [0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="unit-norm"):
+            Centroid(np.array(vector), 1, "a", 0, 5)
+    with pytest.raises(ValueError, match="1-D"):
+        Centroid(np.array([[1.0, 0.0]]), 1, "a", 0, 5)
     with pytest.raises(ValueError, match="member_count"):
         Centroid(np.array([1.0, 0.0]), 1, "a", 0, 0)

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,50 @@ def test_synth_defaults_to_standard_corpus(tmp_path):
     assert len(manifest) == 60
     assert manifest.num_classes == 4
     assert manifest.embedding_dim == 16
+
+
+def test_synth_config_error_names_the_file(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    for payload, message in [
+        ({"num_images": 4, "colour": "red"}, "unexpected keyword argument 'colour'"),
+        ({"num_images": 0}, "num_images, num_classes, embedding_dim must be >= 1"),
+        ([4, 8], "must be a mapping"),
+    ]:
+        config_path.write_text(json.dumps(payload))
+        assert main(["synth", "--out", str(tmp_path / "c"), "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: ") and message in err, err
+    assert not (tmp_path / "c").exists()
+
+
+def test_malformed_centroid_files_fail_naming_the_file(corpus_dir, tmp_path, capsys):
+    manifest_path = str(corpus_dir / "manifest.jsonl")
+    bank = tmp_path / "bank.bin"
+    cset = tmp_path / "centroids.json"
+    assert main(["cluster", "--manifest", manifest_path, "--out", str(bank)]) == 0
+    assert main(["select", "--bank", str(bank), "--out", str(cset)]) == 0
+    payload = json.loads(cset.read_text())
+    payload["classes"]["1"]["vector"] = [0.0] * len(payload["classes"]["1"]["vector"])
+    cset.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["debias", "--manifest", manifest_path, "--centroids", str(cset),
+                 "--out", str(tmp_path / "debiased")]) == 1
+    assert f"error: {cset}: class 1 centroid vector must be unit-norm" in capsys.readouterr().err
+    assert not (tmp_path / "debiased").exists()
+    del payload["alpha"]
+    cset.write_text(json.dumps(payload))
+    assert main(["export-centroids", "--bank", str(bank), "--centroids", str(cset),
+                 "--out", str(tmp_path / "rows.csv")]) == 1
+    assert f"error: {cset}: missing field 'alpha'" in capsys.readouterr().err
+
+    blob = bytearray(bank.read_bytes())
+    id_len = struct.unpack("<I", blob[8 + 16 + 12 : 8 + 16 + 16])[0]
+    vector = 8 + 16 + 16 + id_len  # magic, header, first record's fields and id
+    blob[vector : vector + 8] = struct.pack("<d", float("nan"))
+    bank.write_bytes(bytes(blob))
+    assert main(["select", "--bank", str(bank), "--out", str(tmp_path / "c2.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bank}: centroid vector must be unit-norm"), err
 
 
 def test_debiased_labels_roundtrip_with_sentinel(corpus_dir, tmp_path):

@@ -1,17 +1,14 @@
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from segdebias import debiasing
 from segdebias.core import FeatureMap, ImageRecord, LabelMap
-from segdebias.debiasing import (
-    binarize,
-    debias_image,
-    debias_label,
-    similarity_map,
-)
+from segdebias.debiasing import _similarity, debias_image
 from segdebias.pipeline import debias_record
 from segdebias.selection import DebiasedCentroidSet
 
@@ -31,38 +28,50 @@ def centroid_set(vectors):
     )
 
 
+def debias_with_similarity(sim, pseudo, threshold):
+    """debias_image on an image whose similarity map is fixed to `sim`."""
+    sim = np.asarray(sim, dtype=np.float64)
+    fmap = FeatureMap(np.ones((1, *sim.shape), dtype=np.float32))
+    with mock.patch.object(debiasing, "_similarity", lambda *args: sim):
+        return debias_image(fmap, pseudo, centroid_set({1: [1.0]}), {1}, threshold)
+
+
+def foreground(shape):
+    return LabelMap(np.ones(shape, dtype=np.int16), 1)
+
+
 class TestSimilarityMap:
     def test_self_similarity_is_one(self):
         v = unit([1.0, 2.0, 2.0])
         data = np.tile(v[:, None, None], (1, 2, 2)).astype(np.float32)
         fmap = FeatureMap(data)
-        sim = similarity_map(fmap, centroid_set({1: v}), {1})
+        sim = _similarity(fmap, centroid_set({1: v}), {1})
         assert np.allclose(sim, 1.0, atol=1e-6)
 
     def test_orthogonal_pixel_is_zero(self):
         fmap = FeatureMap(np.array([[[1.0]], [[0.0]]], dtype=np.float32))
-        sim = similarity_map(fmap, centroid_set({1: [0.0, 1.0]}), {1})
+        sim = _similarity(fmap, centroid_set({1: [0.0, 1.0]}), {1})
         assert sim[0, 0] == 0.0
 
     def test_negative_similarity_clipped(self):
         fmap = FeatureMap(np.array([[[1.0]], [[0.0]]], dtype=np.float32))
-        sim = similarity_map(fmap, centroid_set({1: [-1.0, 0.0]}), {1})
+        sim = _similarity(fmap, centroid_set({1: [-1.0, 0.0]}), {1})
         assert sim[0, 0] == 0.0
 
     def test_two_classes_equal_elementwise_max(self):
         rng = np.random.default_rng(9)
         fmap = random_feature_map(rng, 4, 5, 6)
         cset = centroid_set({1: rng.normal(size=4), 2: rng.normal(size=4)})
-        combined = similarity_map(fmap, cset, {1, 2})
-        single_1 = similarity_map(fmap, cset, {1})
-        single_2 = similarity_map(fmap, cset, {2})
+        combined = _similarity(fmap, cset, {1, 2})
+        single_1 = _similarity(fmap, cset, {1})
+        single_2 = _similarity(fmap, cset, {2})
         assert np.allclose(combined, np.maximum(single_1, single_2), atol=1e-15)
 
     def test_missing_class_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(1)
         fmap = random_feature_map(rng, 3, 2, 2)
         cset = centroid_set({1: rng.normal(size=3)})
-        assert np.array_equal(similarity_map(fmap, cset, {1, 2}), similarity_map(fmap, cset, {1}))
+        assert np.array_equal(_similarity(fmap, cset, {1, 2}), _similarity(fmap, cset, {1}))
         record = ImageRecord("img_3", "f", "l", frozenset({1, 2}))
         pseudo = LabelMap(np.array([[1, 2], [0, 0]], dtype=np.int16), 2)
         with caplog.at_level(logging.WARNING):
@@ -75,55 +84,64 @@ class TestSimilarityMap:
         fmap = random_feature_map(rng, 3, 2, 2)
         cset = centroid_set({1: rng.normal(size=3)})
         with pytest.raises(ValueError, match="no usable centroids"):
-            similarity_map(fmap, cset, {2, 3})
+            _similarity(fmap, cset, {2, 3})
 
 
 class TestBinarize:
+    """The keep rule of debias_image: a pixel stays when its similarity
+    reaches the threshold."""
+
     def test_zero_threshold_keeps_everything(self):
         sim = np.array([[0.0, 0.2], [0.9, 0.5]])
-        assert binarize(sim, 0.0).all()
+        assert not debias_with_similarity(sim, foreground((2, 2)), 0.0).has_sentinel()
 
     def test_threshold_one_keeps_only_exact_ones(self):
         sim = np.array([[1.0, 0.999999], [0.5, 1.0]])
-        mask = binarize(sim, 1.0)
-        assert mask.tolist() == [[True, False], [False, True]]
+        out = debias_with_similarity(sim, foreground((2, 2)), 1.0)
+        assert out.data.tolist() == [[1, -1], [-1, 1]]
 
     def test_out_of_range_threshold_rejected(self):
         sim = np.zeros((1, 1))
-        with pytest.raises(ValueError, match="threshold"):
-            binarize(sim, 1.0 + 1e-9)
-        with pytest.raises(ValueError, match="threshold"):
-            binarize(sim, -0.1)
+        for threshold in (1.0 + 1e-9, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="threshold"):
+                debias_with_similarity(sim, foreground((1, 1)), threshold)
 
     def test_pointwise(self):
         sim = np.array([[0.2, 0.5, 0.8]])
-        assert binarize(sim, 0.5).tolist() == [[False, True, True]]
+        out = debias_with_similarity(sim, foreground((1, 3)), 0.5)
+        assert out.data.tolist() == [[-1, 1, 1]]
+
+    def test_nan_similarity_is_rewritten(self):
+        sim = np.array([[np.nan, 0.9]])
+        out = debias_with_similarity(sim, foreground((1, 2)), 0.0)
+        assert out.data.tolist() == [[-1, 1]]
 
 
 class TestDebiasLabel:
     def test_case_split(self):
         pseudo = LabelMap(np.array([[0, 3], [3, 0]], dtype=np.int16), 3)
-        mask = np.array([[False, False], [True, False]])
-        out = debias_label(pseudo, mask)
+        sim = np.array([[0.0, 0.0], [1.0, 0.0]])
+        out = debias_with_similarity(sim, pseudo, 0.5)
         assert out.data.tolist() == [[0, -1], [3, 0]]
 
     def test_dim_mismatch(self):
+        rng = np.random.default_rng(2)
+        fmap = random_feature_map(rng, 3, 3, 2)
         pseudo = LabelMap(np.zeros((2, 2), dtype=np.int16), 1)
         with pytest.raises(ValueError, match="shape"):
-            debias_label(pseudo, np.ones((3, 2), dtype=bool))
+            debias_image(fmap, pseudo, centroid_set({1: rng.normal(size=3)}), {1}, 0.3)
 
     def test_rejects_existing_sentinel(self):
         pseudo = LabelMap(np.array([[-1]], dtype=np.int16), 1)
         with pytest.raises(ValueError, match="-1"):
-            debias_label(pseudo, np.ones((1, 1), dtype=bool))
+            debias_with_similarity(np.ones((1, 1)), pseudo, 0.5)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_pixel_partition_invariant(self, seed):
         rng = np.random.default_rng(seed)
         pseudo = LabelMap(rng.integers(0, 4, size=(5, 5)).astype(np.int16), 3)
-        mask = rng.random((5, 5)) > 0.5
-        out = debias_label(pseudo, mask)
+        out = debias_with_similarity(rng.random((5, 5)), pseudo, 0.5)
         same = out.data == pseudo.data
         sentinel = out.data == -1
         assert bool(np.all(same | sentinel))

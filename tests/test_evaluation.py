@@ -3,11 +3,10 @@ import pytest
 
 from segdebias.core import LabelMap
 from segdebias.evaluation import (
-    ConfusionMatrix,
+    _report,
     _tally,
     evaluate_predictions,
     per_class_fp_rows,
-    report,
     report_json,
     report_text,
 )
@@ -15,10 +14,6 @@ from segdebias.evaluation import (
 
 def lmap(grid, c):
     return LabelMap(np.asarray(grid, dtype=np.int16), c)
-
-
-def confusion(gt, pred, c):
-    return ConfusionMatrix(_tally(gt, pred, c))
 
 
 class TestAccumulate:
@@ -65,7 +60,7 @@ class TestAccumulate:
             {i: pred for i, (_, pred) in reversed(images.items())},
             2,
         )
-        assert rep == report(ConfusionMatrix(total))
+        assert rep == _report(total)
         backward = dict(reversed(images.items()))
         assert rep == evaluate_predictions(
             {i: gt for i, (gt, _) in backward.items()},
@@ -77,14 +72,14 @@ class TestAccumulate:
 class TestReport:
     def test_perfect(self):
         gt = lmap([[0, 1], [2, 2]], 2)
-        rep = report(confusion(gt, gt, 2))
+        rep = _report(_tally(gt, gt, 2))
         assert rep.miou == 1.0
         assert rep.fp_rate == 0.0 and rep.fn_rate == 0.0
 
     def test_all_background_prediction(self):
         gt = lmap([[1, 1], [0, 0]], 1)
         pred = lmap([[0, 0], [0, 0]], 1)
-        rep = report(confusion(gt, pred, 1))
+        rep = _report(_tally(gt, pred, 1))
         assert rep.fp_rate == 0.0
         assert rep.fn_rate == pytest.approx(0.5)
 
@@ -92,7 +87,7 @@ class TestReport:
         rng = np.random.default_rng(9)
         gt = lmap(rng.integers(0, 4, (6, 6)), 3)
         pred = lmap(rng.integers(0, 4, (6, 6)), 3)
-        rep = report(confusion(gt, pred, 3))
+        rep = _report(_tally(gt, pred, 3))
         for class_id, iou in rep.per_class_iou.items():
             gt_set = set(map(tuple, np.argwhere(gt.data == class_id)))
             pred_set = set(map(tuple, np.argwhere(pred.data == class_id)))
@@ -102,7 +97,7 @@ class TestReport:
     def test_absent_class_excluded_from_mean(self):
         gt = lmap([[0, 1]], 3)
         pred = lmap([[0, 1]], 3)
-        rep = report(confusion(gt, pred, 3))
+        rep = _report(_tally(gt, pred, 3))
         assert set(rep.per_class_iou) == {0, 1}
         assert rep.miou == 1.0
 
@@ -110,7 +105,7 @@ class TestReport:
         rng = np.random.default_rng(10)
         gt = lmap(rng.integers(0, 3, (5, 5)), 2)
         pred = lmap(rng.integers(0, 3, (5, 5)), 2)
-        rep = report(confusion(gt, pred, 2))
+        rep = _report(_tally(gt, pred, 2))
         assert 0.0 <= rep.fp_rate <= 1.0 and 0.0 <= rep.fn_rate <= 1.0
         ious = list(rep.per_class_iou.values())
         assert min(ious) <= rep.miou <= max(ious)

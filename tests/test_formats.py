@@ -1,4 +1,6 @@
+import json
 import struct
+from functools import partial
 
 import numpy as np
 import pytest
@@ -119,7 +121,7 @@ def _one_of_each_format(tmp_path):
     head = SegHead(weights=rng.normal(size=(3, 2)), bias=rng.normal(size=3))
     files = [
         ("f.bin", formats.write_feature_map, fmap, formats.read_feature_map),
-        ("l.bin", formats.write_label_map, label, formats.read_label_map),
+        ("l.bin", formats.write_label_map, label, partial(formats.read_label_map, num_classes=2)),
         ("b.bin", formats.write_centroid_bank, bank, formats.read_centroid_bank),
         ("h.bin", formats.write_checkpoint, head, formats.read_checkpoint),
     ]
@@ -199,17 +201,17 @@ def test_trailing_bytes_rejected(tmp_path):
     formats.write_label_map(path, lmap)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(formats.FormatError, match="payload length mismatch"):
-        formats.read_label_map(path)
+        formats.read_label_map(path, 1)
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"NOTMAGIC" + struct.pack("<II", 1, 1) + b"\x00\x00")
     with pytest.raises(formats.FormatError, match="bad magic"):
-        formats.read_label_map(path)
+        formats.read_label_map(path, 1)
     err = None
     try:
-        formats.read_label_map(path)
+        formats.read_label_map(path, 1)
     except formats.FormatError as exc:
         err = exc
     assert err.offset == 0
@@ -227,7 +229,7 @@ def test_dim_overflow_rejected(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(formats.MAGIC_LABELS + struct.pack("<II", 70000, 1))
     with pytest.raises(formats.FormatError, match="dim overflow"):
-        formats.read_label_map(path)
+        formats.read_label_map(path, 1)
 
 
 def test_atomic_write_replaces_existing(tmp_path):
@@ -254,6 +256,68 @@ def test_centroid_set_roundtrip(tmp_path):
     assert back.selected_counts == {1: 4, 3: 2}
     for class_id in (1, 3):
         assert np.array_equal(back.per_class[class_id], cset.per_class[class_id])
+
+
+def test_non_finite_bank_vector_is_a_format_error(tmp_path):
+    centroid = Centroid(random_unit(np.random.default_rng(5), 3), 1, "img_0", 0, 4)
+    path = tmp_path / "b.bin"
+    formats.write_centroid_bank(
+        path, CentroidBank(foreground={1: (centroid,)}, background=(), k_fg=2, k_bg=2)
+    )
+    vector = 8 + 16 + 16 + len(b"img_0")  # magic, header, fixed fields, image id
+    for value in (np.nan, np.inf):
+        blob = bytearray(path.read_bytes())
+        blob[vector : vector + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(formats.FormatError, match="unit-norm") as err:
+            formats.read_centroid_bank(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert err.value.offset == 8 + 16
+
+
+def _set_json(alpha=0.4, **classes):
+    return json.dumps({"alpha": alpha, "classes": classes})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"classes": {}}', "missing field 'alpha'"),
+        ('{"alpha": 0.4}', "missing field 'classes'"),
+        (_set_json(**{"1": {"vector": [1.0]}}), "missing field 'selected_count'"),
+        (_set_json(alpha=1.5), "alpha must lie in (0, 1]"),
+        ('{"alpha": 0.4, "classes": []}', "has no attribute 'items'"),
+        (_set_json(x={"vector": [1.0], "selected_count": 1}), "invalid literal"),
+        (
+            _set_json(**{"1": {"vector": [0.0, 0.0], "selected_count": 1}}),
+            "class 1 centroid vector must be unit-norm",
+        ),
+        (
+            '{"alpha": 0.4, "classes": {"1": {"vector": [NaN, 0.0], "selected_count": 1}}}',
+            "class 1 centroid vector must be unit-norm, got |v|=nan",
+        ),
+        (
+            _set_json(**{"1": {"vector": [[1.0]], "selected_count": 1}}),
+            "class 1 centroid vector must be 1-D",
+        ),
+        (
+            _set_json(
+                **{
+                    "1": {"vector": [1.0, 0.0], "selected_count": 1},
+                    "2": {"vector": [1.0], "selected_count": 1},
+                }
+            ),
+            "differ in length: [1, 2]",
+        ),
+        ("{not json", "Expecting property name"),
+    ],
+)
+def test_malformed_centroid_set_names_the_file(tmp_path, text, message):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        formats.read_centroid_set(path)
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value), str(err.value)
 
 
 def test_manifest_roundtrip(tmp_path):

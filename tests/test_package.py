@@ -70,3 +70,28 @@ def test_every_export_has_a_caller_outside_the_tests():
                 changed = True
     unused = sorted(f"{m}.{n}" for n in exports.keys() - live for m in exports[n])
     assert not unused, f"exports no code outside the tests reads: {unused}"
+
+
+def test_every_imported_name_is_read():
+    """Each module of the package reads every name it imports; the package's
+    `__init__` reads its imports by listing them in `__all__`."""
+    unread = []
+    for path in sorted((ROOT / "src" / "segdebias").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                read |= {elt.value for elt in node.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unread, f"imported names the module never reads: {unread}"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import segdebias.trainloop as tl
 from segdebias.core import DatasetManifest, ImageRecord, LabelMap
-from segdebias.evaluation import ConfusionMatrix, _tally, report
+from segdebias.evaluation import _report, _tally
 from segdebias.trainloop import (
     SegHead,
     TrainConfig,
@@ -460,7 +460,7 @@ def reference_train(manifest, debiased_labels, config, *, features, ground_truth
                 _tally(ground_truth[image_id], predictions[image_id], manifest.num_classes)
                 for image_id in sorted(ground_truth)
             )
-            rep = report(ConfusionMatrix(counts))
+            rep = _report(counts)
             metrics.append((epoch, epoch_loss, rep.miou, rep.fp_rate, rep.fn_rate))
         else:
             metrics.append((epoch, epoch_loss, None, None, None))

@@ -46,13 +46,11 @@ class Centroid:
         if self.member_count < 1:
             raise ValueError("member_count must be >= 1")
 
-    def sort_key(self) -> tuple:
-        return (self.class_id, self.image_id, self.cluster_index)
-
 
 @dataclass(frozen=True)
 class CentroidBank:
-    """Dataset-wide centroid collections: per-class foreground plus background."""
+    """Dataset-wide centroid collections: per-class foreground plus background.
+    Every foreground class holds at least one centroid."""
 
     foreground: Mapping[int, tuple[Centroid, ...]]
     background: tuple[Centroid, ...]
@@ -66,22 +64,14 @@ class CentroidBank:
         for class_id, centroids in fg.items():
             if class_id < 1:
                 raise ValueError("foreground class ids must be >= 1")
+            if not centroids:
+                raise ValueError(f"foreground class {class_id} has no centroids")
             if any(c.class_id != class_id for c in centroids):
                 raise ValueError(f"mislabeled centroid under class {class_id}")
         if any(c.class_id != 0 for c in self.background):
             raise ValueError("background bank must hold class-0 centroids")
         object.__setattr__(self, "foreground", fg)
         object.__setattr__(self, "background", tuple(self.background))
-
-    def canonically_sorted(self) -> "CentroidBank":
-        return CentroidBank(
-            foreground={
-                c: tuple(sorted(v, key=Centroid.sort_key)) for c, v in self.foreground.items()
-            },
-            background=tuple(sorted(self.background, key=Centroid.sort_key)),
-            k_fg=self.k_fg,
-            k_bg=self.k_bg,
-        )
 
     def foreground_classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.foreground))
@@ -258,11 +248,13 @@ def build_centroid_bank(
 
     With k_fg >= 2 a foreground region can split into a target and a
     co-occurring impostor cluster.  Images lacking a region contribute no
-    centroids for it.
+    centroids for it.  Records are visited in image-id order, so each
+    collection is sorted by (image_id, cluster_index) whatever the manifest
+    order: the bank `segdebias cluster` writes.
     """
     foreground: dict[int, list[Centroid]] = {}
     background: list[Centroid] = []
-    for record in manifest.records:
+    for record in sorted(manifest.records, key=lambda r: r.image_id):
         fmap = features[record.image_id]
         if fmap.embedding_dim != manifest.embedding_dim:
             raise ValueError(
@@ -270,6 +262,11 @@ def build_centroid_bank(
                 f"embedding_dim {manifest.embedding_dim}"
             )
         label = pseudo_labels[record.image_id]
+        if label.spatial_shape != fmap.spatial_shape:
+            raise ValueError(
+                f"{record.image_id}: label shape {label.spatial_shape} != feature shape "
+                f"{fmap.spatial_shape}"
+            )
         if label.has_sentinel():
             raise ValueError(f"{record.image_id}: pseudo label must not contain -1")
         extra = set(label.foreground_classes()) - record.truth_classes

@@ -93,7 +93,7 @@ def _cmd_cluster(args) -> int:
     bank = build_centroid_bank(
         manifest, labels, args.k_fg, args.k_bg, args.seed, formats.load_features(manifest)
     )
-    formats.write_centroid_bank(args.out, bank.canonically_sorted())
+    formats.write_centroid_bank(args.out, bank)
     n_fg = sum(len(v) for v in bank.foreground.values())
     print(f"wrote bank: {n_fg} foreground / {len(bank.background)} background centroids")
     return 0
@@ -176,7 +176,7 @@ def _cmd_sweep(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     features = formats.load_features(manifest)
     labels = formats.load_pseudo_labels(manifest)
-    ground_truth = formats.load_ground_truth(manifest) or None
+    ground_truth = formats.load_ground_truth(manifest)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ValueError("--values must list at least one number")

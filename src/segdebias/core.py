@@ -25,8 +25,6 @@ __all__ = [
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
     """L2-normalize each row of a (n, D) matrix in float64."""
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.size == 0:
-        return vectors.reshape(0, vectors.shape[-1] if vectors.ndim == 2 else 0)
     norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("degenerate vector: zero norm")
@@ -172,6 +170,3 @@ class DatasetManifest:
                     f"{r.image_id}: truth class exceeds num_classes={self.num_classes}"
                 )
         object.__setattr__(self, "records", records)
-
-    def __len__(self) -> int:
-        return len(self.records)

@@ -65,6 +65,11 @@ def debias_image(
         )
     if pseudo.has_sentinel():
         raise ValueError("pseudo label must not already contain -1")
+    for vec in centroids.per_class.values():
+        if vec.shape[0] != fmap.embedding_dim:
+            raise ValueError(
+                f"centroid vector length {vec.shape[0]} != feature dim {fmap.embedding_dim}"
+            )
     keep = _similarity(fmap, centroids, truth_classes) >= threshold
     out = pseudo.data.copy()
     out[(pseudo.data > 0) & ~keep] = -1

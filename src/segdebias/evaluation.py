@@ -103,7 +103,10 @@ def evaluate_predictions(
     require_shared_ids(ground_truth, predictions)
     counts = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
     for image_id in sorted(ground_truth):
-        counts += _tally(ground_truth[image_id], predictions[image_id], num_classes)
+        try:
+            counts += _tally(ground_truth[image_id], predictions[image_id], num_classes)
+        except ValueError as exc:
+            raise ValueError(f"{image_id}: {exc}") from None
     return _report(counts)
 
 

@@ -28,7 +28,6 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -302,12 +301,6 @@ def read_centroid_set(path):
 
 # -- manifest -------------------------------------------------------------------
 
-def _relpath(path: Optional[Path], base: Path) -> Optional[str]:
-    if path is None:
-        return None
-    return os.path.relpath(Path(path), base)
-
-
 def write_manifest(path, manifest: DatasetManifest) -> None:
     path = Path(path)
     base = path.parent
@@ -320,45 +313,50 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
     for r in manifest.records:
         entry = {
             "image_id": r.image_id,
-            "feature_path": _relpath(r.feature_path, base),
-            "label_path": _relpath(r.label_path, base),
+            "feature_path": os.path.relpath(r.feature_path, base),
+            "label_path": os.path.relpath(r.label_path, base),
             "truth_classes": sorted(r.truth_classes),
         }
         if r.gt_path is not None:
-            entry["gt_path"] = _relpath(r.gt_path, base)
+            entry["gt_path"] = os.path.relpath(r.gt_path, base)
         if r.bias_path is not None:
-            entry["bias_path"] = _relpath(r.bias_path, base)
+            entry["bias_path"] = os.path.relpath(r.bias_path, base)
         lines.append(json.dumps(entry, sort_keys=True))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path) -> DatasetManifest:
+    """The manifest in a JSON-lines file; every error names the file, and an
+    error in one line also its line number."""
     path = Path(path)
     base = path.parent
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines = [(n, ln) for n, ln in enumerate(path.read_text().splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty manifest")
-    meta = json.loads(lines[0])
-    if "embedding_dim" not in meta or "num_classes" not in meta:
-        raise ValueError(f"{path}: first manifest line must carry embedding_dim/num_classes")
-    records = []
-    for ln in lines[1:]:
-        entry = json.loads(ln)
-        records.append(
-            ImageRecord(
-                image_id=entry["image_id"],
-                feature_path=base / entry["feature_path"],
-                label_path=base / entry["label_path"],
-                truth_classes=frozenset(entry["truth_classes"]),
-                gt_path=(base / entry["gt_path"]) if entry.get("gt_path") else None,
-                bias_path=(base / entry["bias_path"]) if entry.get("bias_path") else None,
+    try:
+        where = f"{path}: line {lines[0][0]}"
+        meta = json.loads(lines[0][1])
+        num_classes, embedding_dim = int(meta["num_classes"]), int(meta["embedding_dim"])
+        records = []
+        for n, ln in lines[1:]:
+            where = f"{path}: line {n}"
+            entry = json.loads(ln)
+            records.append(
+                ImageRecord(
+                    image_id=entry["image_id"],
+                    feature_path=base / entry["feature_path"],
+                    label_path=base / entry["label_path"],
+                    truth_classes=frozenset(entry["truth_classes"]),
+                    gt_path=(base / entry["gt_path"]) if entry.get("gt_path") else None,
+                    bias_path=(base / entry["bias_path"]) if entry.get("bias_path") else None,
+                )
             )
-        )
-    return DatasetManifest(
-        records=tuple(records),
-        num_classes=int(meta["num_classes"]),
-        embedding_dim=int(meta["embedding_dim"]),
-    )
+        where = path
+        return DatasetManifest(tuple(records), num_classes, embedding_dim)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing field {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 # -- bulk loaders -----------------------------------------------------------------

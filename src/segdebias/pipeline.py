@@ -156,34 +156,31 @@ def sweep(
     manifest: DatasetManifest,
     features: Mapping[str, FeatureMap],
     pseudo_labels: Mapping[str, LabelMap],
-    ground_truth: Optional[Mapping[str, LabelMap]],
+    ground_truth: Mapping[str, LabelMap],
     param: str,
     values: Sequence[float],
-    base: Optional[PipelineParams] = None,
+    base: PipelineParams,
 ) -> list[dict]:
-    """One pipeline run per value; rows carry final mIoU/FP/FN and, when
-    ground truth is available, the mean selection accuracy over classes."""
+    """One pipeline run per value; each row carries the final mIoU/FP/FN and
+    the mean selection accuracy over classes.  Ground truth must cover every
+    record of the manifest."""
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
-    base = base or PipelineParams()
+    require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
     # build every run's parameters first, so an invalid value fails before any run
     runs = [(value, replace(base, **{FLAG_FIELDS[param]: value})) for value in values]
     rows = []
     for value, params in runs:
         result = run_pipeline(manifest, features, pseudo_labels, params, ground_truth)
-        row: dict = {"param": param, "value": value}
-        if result.report is not None:
-            row["miou"] = result.report.miou
-            row["fp_rate"] = result.report.fp_rate
-            row["fn_rate"] = result.report.fn_rate
-        else:
-            row["miou"] = row["fp_rate"] = row["fn_rate"] = ""
-        if ground_truth:
-            acc = selection_accuracy(
-                result.bank, params.alpha, features, pseudo_labels, ground_truth
-            )
-            row["selection_accuracy"] = float(np.mean(list(acc.values()))) if acc else ""
-        else:
-            row["selection_accuracy"] = ""
-        rows.append(row)
+        acc = selection_accuracy(result.bank, params.alpha, features, pseudo_labels, ground_truth)
+        rows.append(
+            {
+                "param": param,
+                "value": value,
+                "miou": result.report.miou,
+                "fp_rate": result.report.fp_rate,
+                "fn_rate": result.report.fn_rate,
+                "selection_accuracy": float(np.mean(list(acc.values()))),
+            }
+        )
     return rows

@@ -30,12 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoredCentroid:
+    """A centroid with its Eq. 1 distance, which lies in [0, 1] for unit vectors."""
+
     centroid: Centroid
     dist: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.dist <= 1.0):
-            raise ValueError(f"dist must lie in [0, 1], got {self.dist}")
 
 
 @dataclass(frozen=True)
@@ -92,9 +90,6 @@ def score_foreground(bank: CentroidBank) -> dict[int, list[ScoredCentroid]]:
     out: dict[int, list[ScoredCentroid]] = {}
     for class_id in bank.foreground_classes():
         centroids = bank.foreground[class_id]
-        if not centroids:
-            out[class_id] = []
-            continue
         dists = _background_distances(np.stack([c.vector for c in centroids]), matrix)
         scored = [ScoredCentroid(c, float(d)) for c, d in zip(centroids, dists)]
         scored.sort(key=lambda s: (-s.dist, s.centroid.image_id, s.centroid.cluster_index))
@@ -105,14 +100,12 @@ def score_foreground(bank: CentroidBank) -> dict[int, list[ScoredCentroid]]:
 def select_debiased(bank: CentroidBank, alpha: float) -> DebiasedCentroidSet:
     """Average the top ceil(M * alpha) centroids per class into a unit vector.
 
-    Classes with empty banks are simply absent from the result; the average
-    is re-normalized so downstream similarities stay within [-1, 1].
+    Classes without centroids in the bank are absent from the result; the
+    average is re-normalized so downstream similarities stay within [-1, 1].
     """
     per_class: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for class_id, scored in score_foreground(bank).items():
-        if not scored:
-            continue
         take = selected_count(len(scored), alpha)
         mean = np.mean([s.centroid.vector for s in scored[:take]], axis=0)
         norm = float(np.linalg.norm(mean))

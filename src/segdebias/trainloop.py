@@ -248,15 +248,18 @@ def train(
 
     Image order is a seeded shuffle per epoch; with epochs == 0 the
     initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged
-    whenever ground truth covers every record.
+    unless ground truth is empty, and then it must cover every record; ids
+    outside the manifest are ignored.
     """
     targets = _targets(manifest, debiased_labels, features)
+    records = manifest.records
+    missing = [r.image_id for r in records if r.image_id not in ground_truth]
+    if ground_truth and missing:
+        raise ValueError(f"{missing[0]} has no ground truth; per-epoch scoring needs every record")
+    truth = {r.image_id: ground_truth[r.image_id] for r in records} if ground_truth else {}
     rng = np.random.default_rng(config.seed)
     initial = SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
     student_w, student_b = teacher_w, teacher_b = initial.weights, initial.bias
-    records = manifest.records
-    have_gt = all(r.image_id in ground_truth for r in records) and len(records) > 0
-    truth = {r.image_id: ground_truth[r.image_id] for r in records} if have_gt else {}
     lr, momentum = config.learning_rate, config.ema_momentum
 
     metrics: list[EpochMetrics] = []
@@ -280,7 +283,7 @@ def train(
             _require_finite(teacher_w, teacher_b)
             epoch_loss += loss
 
-        if have_gt:
+        if truth:
             predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
             rep = evaluate_predictions(truth, predictions, manifest.num_classes)
             metrics.append(

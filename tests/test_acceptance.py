@@ -277,7 +277,7 @@ def _write_pipeline_artifacts(corpus, out_dir, epochs=40):
     features = corpus.features()
     labels = corpus.pseudo_labels()
     bank = build_centroid_bank(corpus.manifest, labels, 2, 2, seed=0, features=features)
-    formats.write_centroid_bank(out_dir / "bank.bin", bank.canonically_sorted())
+    formats.write_centroid_bank(out_dir / "bank.bin", bank)
     centroids = select_debiased(bank, ALPHA)
     formats.write_centroid_set(out_dir / "centroids.json", centroids)
     debiased = debias_all(corpus.manifest, features, labels, centroids, THRESHOLD)

@@ -163,6 +163,55 @@ class TestKMeans:
         assert np.array_equal(result.assignments, reference.assignments)
         assert result.objective_trace == reference.objective_trace
 
+    @staticmethod
+    def _two_clouds():
+        rng = np.random.default_rng(8)
+        a = unit_cloud(rng, np.array([1.0, 0.0, 0.0]), 20)
+        b = unit_cloud(rng, np.array([0.0, 1.0, 0.0]), 20)
+        return np.vstack([a, b])
+
+    @staticmethod
+    def _coincident_seeds(vectors, k, rng):
+        """k seeds all on the first vector, which k-means++ never returns."""
+        return np.repeat(vectors[:1], k, axis=0)
+
+    @staticmethod
+    def _assert_coherent(result):
+        m = result.centroids.shape[0]
+        assert np.allclose(np.linalg.norm(result.centroids, axis=1), 1.0, atol=1e-12)
+        assert (result.counts > 0).all()
+        assert np.array_equal(result.counts, np.bincount(result.assignments, minlength=m))
+
+    def test_empty_cluster_is_reseeded_to_the_farthest_point(self):
+        vectors = self._two_clouds()
+        with mock.patch.object(bank, "_kmeanspp_init", self._coincident_seeds), mock.patch.object(
+            bank, "_normalized_means", wraps=bank._normalized_means
+        ) as means:
+            result = kmeans_spherical(vectors, 2, seed=0)
+        # every point joins the first of the two equal seeds; only the reseed of
+        # the empty second cluster can split the clouds
+        assert result.centroids.shape[0] == 2
+        assert len(set(result.assignments[:20].tolist())) == 1
+        assert len(set(result.assignments[20:].tolist())) == 1
+        assert result.assignments[0] != result.assignments[20]
+        self._assert_coherent(result)
+        # means are computed in every Lloyd iteration but the one that finds the
+        # fixpoint, and once more by the closing pass: as many calls as iterations
+        assert len(result.objective_trace) == means.call_count + 1
+
+    def test_iteration_cap_drops_clusters_left_empty(self):
+        vectors = self._two_clouds()
+        with mock.patch.object(bank, "_kmeanspp_init", self._coincident_seeds), mock.patch.object(
+            bank, "MAX_LLOYD_ITERATIONS", 0
+        ):
+            result = kmeans_spherical(vectors, 2, seed=0)
+        # no Lloyd step runs: the closing pass gives every point to the first seed
+        # and drops the empty second one
+        assert result.centroids.shape[0] == 1
+        assert result.assignments.tolist() == [0] * 40
+        self._assert_coherent(result)
+        assert len(result.objective_trace) == 1  # no iteration, then the closing pass
+
     def test_empty_input(self):
         result = kmeans_spherical(np.zeros((0, 4)), 2, seed=0)
         assert result.centroids.shape[0] == 0
@@ -219,21 +268,17 @@ class TestBuildBank:
         bank = build_centroid_bank(manifest, labels, 2, 2, seed=0, features=features)
         assert len(bank.background) == 4  # first image contributes none
 
-    def test_order_independence_after_canonical_sort(self, tmp_path):
+    def test_bank_is_independent_of_manifest_order(self, tmp_path):
         manifest, features, labels = _three_image_manifest(tmp_path)
-        shuffled = DatasetManifest(
+        reversed_manifest = DatasetManifest(
             records=tuple(reversed(manifest.records)),
             num_classes=manifest.num_classes,
             embedding_dim=manifest.embedding_dim,
         )
-        bank_a = build_centroid_bank(manifest, labels, 2, 2, seed=0, features=features)
-        bank_b = build_centroid_bank(shuffled, labels, 2, 2, seed=0, features=features)
-        a, b = bank_a.canonically_sorted(), bank_b.canonically_sorted()
-        for ca, cb in zip(a.background, b.background):
-            assert ca.image_id == cb.image_id and np.array_equal(ca.vector, cb.vector)
-        for class_id in a.foreground:
-            for ca, cb in zip(a.foreground[class_id], b.foreground[class_id]):
-                assert ca.image_id == cb.image_id and np.array_equal(ca.vector, cb.vector)
+        for tag, m in (("forward", manifest), ("reversed", reversed_manifest)):
+            bank = build_centroid_bank(m, labels, 2, 2, seed=0, features=features)
+            formats.write_centroid_bank(tmp_path / f"{tag}.bin", bank)
+        assert (tmp_path / "forward.bin").read_bytes() == (tmp_path / "reversed.bin").read_bytes()
 
     def test_byte_identical_across_runs(self, tmp_path):
         manifest, features, labels = _three_image_manifest(tmp_path)
@@ -241,7 +286,7 @@ class TestBuildBank:
         for tag in ("one", "two"):
             bank = build_centroid_bank(manifest, labels, 2, 2, seed=0, features=features)
             path = tmp_path / f"bank_{tag}.bin"
-            formats.write_centroid_bank(path, bank.canonically_sorted())
+            formats.write_centroid_bank(path, bank)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 

@@ -2,13 +2,14 @@ import csv
 import json
 import struct
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from segdebias import formats
 from segdebias.cli import main
-from segdebias.core import DatasetManifest
+from segdebias.core import DatasetManifest, LabelMap
 from segdebias.pipeline import PipelineParams, run_pipeline
 from segdebias.selection import DebiasedCentroidSet
 from segdebias.trainloop import train
@@ -152,7 +153,7 @@ def test_synth_defaults_to_standard_corpus(tmp_path):
     out = tmp_path / "std"
     assert main(["synth", "--out", str(out)]) == 0
     manifest = formats.read_manifest(out / "manifest.jsonl")
-    assert len(manifest) == 60
+    assert len(manifest.records) == 60
     assert manifest.num_classes == 4
     assert manifest.embedding_dim == 16
 
@@ -161,7 +162,9 @@ def test_synth_config_error_names_the_file(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     for payload, message in [
         ({"num_images": 4, "colour": "red"}, "unexpected keyword argument 'colour'"),
-        ({"num_images": 0}, "num_images, num_classes, embedding_dim must be >= 1"),
+        ({"num_images": 0}, "num_images and num_classes must be >= 1"),
+        ({"embedding_dim": 8}, "embedding_dim must be >= 11"),
+        ({"echo_bg_rate": 0.5}, "unexpected keyword argument 'echo_bg_rate'"),
         ([4, 8], "must be a mapping"),
     ]:
         config_path.write_text(json.dumps(payload))
@@ -247,7 +250,7 @@ def _library_inputs(corpus_dir):
 def test_flag_defaults_match_pipeline_params(corpus_dir, default_chain, tmp_path):
     manifest, features, labels, gts = _library_inputs(corpus_dir)
     result = run_pipeline(manifest, features, labels, PipelineParams(), gts)
-    formats.write_centroid_bank(tmp_path / "bank.bin", result.bank.canonically_sorted())
+    formats.write_centroid_bank(tmp_path / "bank.bin", result.bank)
     formats.write_centroid_set(tmp_path / "centroids.json", result.centroid_set)
     formats.write_checkpoint(tmp_path / "head.bin", result.train_result.teacher)
     for image_id, label in result.debiased.items():
@@ -371,3 +374,93 @@ def test_debias_skipped_class_warning_names_the_image(corpus_dir, tmp_path, capl
     warned = [rec.getMessage().split(":")[0] for rec in caplog.records
               if "no debiased centroid for classes [2]" in rec.getMessage()]
     assert warned == partly
+
+
+def _with_record(manifest, index, tmp_path, **changes):
+    """The manifest with one record's fields replaced, written under tmp_path."""
+    records = list(manifest.records)
+    records[index] = replace(records[index], **changes)
+    path = tmp_path / "manifest.jsonl"
+    formats.write_manifest(
+        path, DatasetManifest(tuple(records), manifest.num_classes, manifest.embedding_dim)
+    )
+    return path
+
+
+def _wider_label(tmp_path, label_path, num_classes):
+    """A copy of the label file with one more column."""
+    data = formats.read_label_map(label_path, num_classes).data
+    path = tmp_path / "wide.bin"
+    formats.write_label_map(path, LabelMap(np.pad(data, ((0, 0), (0, 1))), num_classes))
+    return path
+
+
+def test_debias_centroid_length_mismatch_names_both_dims(corpus_dir, tmp_path, capsys):
+    manifest_path = corpus_dir / "manifest.jsonl"
+    manifest = formats.read_manifest(manifest_path)
+    short = tmp_path / "centroids.json"
+    vector = np.ones(manifest.embedding_dim - 1) / np.sqrt(manifest.embedding_dim - 1)
+    cset = DebiasedCentroidSet({1: vector, 2: vector}, alpha=0.4, selected_counts={1: 1, 2: 1})
+    formats.write_centroid_set(short, cset)
+    assert main(["debias", "--manifest", str(manifest_path), "--centroids", str(short),
+                 "--out", str(tmp_path / "debiased")]) == 1
+    err = capsys.readouterr().err
+    first = manifest.records[0].image_id
+    assert f"error: {first}: centroid vector length 11 != feature dim 12" in err
+    assert list((tmp_path / "debiased").iterdir()) == []
+
+
+def test_cluster_label_shape_mismatch_names_the_image(corpus_dir, tmp_path, capsys):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    record = manifest.records[3]
+    wide = _wider_label(tmp_path, record.label_path, manifest.num_classes)
+    path = _with_record(manifest, 3, tmp_path, label_path=wide)
+    assert main(["cluster", "--manifest", str(path), "--out", str(tmp_path / "bank.bin")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {record.image_id}: label shape (12, 21) != feature shape (12, 20)" in err
+    assert not (tmp_path / "bank.bin").exists()
+
+
+def test_eval_prediction_shape_mismatch_names_the_image(corpus_dir, tmp_path, capsys):
+    manifest_path = corpus_dir / "manifest.jsonl"
+    manifest = formats.read_manifest(manifest_path)
+    preds = tmp_path / "preds"
+    for image_id, gt in formats.load_ground_truth(manifest).items():
+        formats.write_label_map(preds / f"{image_id}.bin", gt)
+    record = manifest.records[3]
+    target = preds / f"{record.image_id}.bin"
+    _wider_label(tmp_path, target, manifest.num_classes).replace(target)
+    assert main(["eval", "--manifest", str(manifest_path), "--pred", str(preds),
+                 "--out", str(tmp_path / "report.json")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {record.image_id}: gt shape (12, 20) != pred shape (12, 21)" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_train_with_partial_ground_truth_names_the_first_record_without(
+    corpus_dir, default_chain, tmp_path, capsys
+):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    path = _with_record(manifest, 2, tmp_path, gt_path=None)
+    assert main(["train", "--manifest", str(path), "--debiased", str(default_chain / "debiased"),
+                 "--out", str(tmp_path / "head.bin"), "--log", str(tmp_path / "log.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {manifest.records[2].image_id} has no ground truth" in err
+    assert not (tmp_path / "head.bin").exists() and not (tmp_path / "log.csv").exists()
+
+
+def test_sweep_without_ground_truth_fails_before_any_run(corpus_dir, tmp_path, capsys):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    bare = DatasetManifest(
+        tuple(replace(r, gt_path=None) for r in manifest.records),
+        manifest.num_classes,
+        manifest.embedding_dim,
+    )
+    formats.write_manifest(tmp_path / "manifest.jsonl", bare)
+    with mock.patch("segdebias.pipeline.run_pipeline") as run:
+        assert main(["sweep", "--manifest", str(tmp_path / "manifest.jsonl"), "--param", "alpha",
+                     "--values", "0.3,0.5", "--out", str(tmp_path / "sweep.csv")]) == 1
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert f"{manifest.records[0].image_id} has no ground truth" in err
+    assert not (tmp_path / "sweep.csv").exists()

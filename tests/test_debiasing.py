@@ -40,6 +40,12 @@ def foreground(shape):
     return LabelMap(np.ones(shape, dtype=np.int16), 1)
 
 
+def test_centroid_length_must_match_feature_dim():
+    fmap = FeatureMap(np.ones((3, 2, 2), dtype=np.float32))
+    with pytest.raises(ValueError, match="centroid vector length 2 != feature dim 3"):
+        debias_image(fmap, foreground((2, 2)), centroid_set({1: [1.0, 0.0]}), {1}, 0.3)
+
+
 class TestSimilarityMap:
     def test_self_similarity_is_one(self):
         v = unit([1.0, 2.0, 2.0])

@@ -346,3 +346,27 @@ def test_manifest_roundtrip(tmp_path):
     assert back.records[0].gt_path == tmp_path / "a.g"
     assert back.records[1].gt_path is None
     assert back.records[1].label_path == tmp_path / "b.l"
+
+
+_META = '{"embedding_dim": 4, "num_classes": 2}'
+_RECORD = '{"feature_path": "a.f", "image_id": "a", "label_path": "a.l", "truth_classes": [1]}'
+
+
+@pytest.mark.parametrize(
+    "lines, where, message",
+    [
+        ([_META, "", _RECORD.replace('"image_id": "a", ', "")], "line 3",
+         "missing field 'image_id'"),
+        ([_META, "not json"], "line 2", "Expecting value"),
+        ([_META, _RECORD.replace("[1]", '["x"]')], "line 2", "invalid literal for int()"),
+        (['{"num_classes": 2}', _RECORD], "line 1", "missing field 'embedding_dim'"),
+        ([_META, _RECORD, _RECORD], None, "image_ids must be unique"),
+    ],
+)
+def test_malformed_manifest_names_the_file_and_line(tmp_path, lines, where, message):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        formats.read_manifest(path)
+    prefix = f"{path}: {where}: " if where else f"{path}: "
+    assert str(err.value).startswith(prefix) and message in str(err.value), str(err.value)

@@ -95,3 +95,31 @@ def test_every_imported_name_is_read():
                     if name not in read:
                         unread.append(f"{path.name}:{node.lineno}: {name}")
     assert not unread, f"imported names the module never reads: {unread}"
+
+
+def test_every_config_field_is_set_somewhere():
+    """Each field of SynthConfig, PipelineParams and TrainConfig is passed by
+    keyword or named in a string by the library, the scripts, the benchmark or
+    the tests, outside the class that declares it.  A field that nobody sets
+    is a constant."""
+    from segdebias.pipeline import PipelineParams
+    from segdebias.synth import SynthConfig
+    from segdebias.trainloop import TrainConfig
+
+    named = set()  # (name, the top-level class it occurs in, or None)
+    for folder in ("src", "scripts", "bench", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for stmt in ast.parse(path.read_text()).body:
+                owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.keyword) and node.arg is not None:
+                        named.add((node.arg, owner))
+                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        named.add((node.value, owner))
+    unset = [
+        f"{cls.__name__}.{field}"
+        for cls in (SynthConfig, PipelineParams, TrainConfig)
+        for field in vars(cls)["__annotations__"]
+        if not any(name == field and owner != cls.__name__ for name, owner in named)
+    ]
+    assert not unset, f"fields no caller sets: {unset}"

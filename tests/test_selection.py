@@ -124,17 +124,16 @@ class TestSelect:
         picked = select_debiased(bank, 0.5)
         assert set(picked.per_class) == {1}
 
-    def test_class_with_empty_centroid_list_absent(self):
+    def test_class_with_empty_centroid_list_rejected(self):
         rng = np.random.default_rng(6)
         base = random_bank(rng, classes=(1,))
-        bank = CentroidBank(
-            foreground={**base.foreground, 2: ()},
-            background=base.background,
-            k_fg=2,
-            k_bg=2,
-        )
-        picked = select_debiased(bank, 0.5)
-        assert set(picked.per_class) == {1}
+        with pytest.raises(ValueError, match="class 2 has no centroids"):
+            CentroidBank(
+                foreground={**base.foreground, 2: ()},
+                background=base.background,
+                k_fg=2,
+                k_bg=2,
+            )
 
     def test_ordering_invariant(self):
         rng = np.random.default_rng(3)

@@ -4,7 +4,7 @@ import pytest
 from segdebias.bank import build_centroid_bank
 from segdebias.pipeline import debias_all
 from segdebias.selection import select_debiased
-from segdebias.synth import SynthConfig, generate
+from segdebias.synth import BIAS_BLOB_FRACTION, SynthConfig, generate
 
 
 def test_fixed_seed_is_byte_identical(tmp_path):
@@ -53,7 +53,7 @@ def test_oracle_masks(tmp_path):
     problematic = set(config.problematic_classes)
     planted = 0
     eligible = 0
-    patch = max(1, round(config.bias_blob_fraction * _blob_area(config)))
+    patch = max(1, round(BIAS_BLOB_FRACTION * _blob_area(config)))
     for rec in corpus.records:
         mask = rec.biased_mask
         eligible += len(rec.record.truth_classes & problematic)
@@ -124,8 +124,12 @@ def test_config_validation():
         SynthConfig(bias_cooccurrence=1.5)
     with pytest.raises(ValueError, match="bias_in_background_rate"):
         SynthConfig(bias_in_background_rate=0.0)
-    with pytest.raises(ValueError, match="affinities"):
-        SynthConfig(detail_affinity=1.0)
+    with pytest.raises(ValueError, match="target_detail_affinity"):
+        SynthConfig(target_detail_affinity=1.0)
+    # 1 background + 2 x 4 class and detail textures + 2 impostors need 11 directions
+    with pytest.raises(ValueError, match="embedding_dim must be >= 11"):
+        SynthConfig(embedding_dim=10)
+    SynthConfig(embedding_dim=11)
 
 
 def test_manifest_readable_from_disk(tmp_path):
@@ -134,7 +138,7 @@ def test_manifest_readable_from_disk(tmp_path):
     config = SynthConfig(num_images=4, seed=2)
     corpus = generate(config, tmp_path)
     manifest = formats.read_manifest(tmp_path / "manifest.jsonl")
-    assert len(manifest) == 4
+    assert len(manifest.records) == 4
     features = formats.load_features(manifest)
     labels = formats.load_pseudo_labels(manifest)
     gts = formats.load_ground_truth(manifest)

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import DatasetManifest, FeatureMap, LabelMap, _unit_vector, unit_rows
+from .core import DatasetManifest, FeatureMap, LabelMap, _unit_vector, check_image, unit_rows
 
 MAX_LLOYD_ITERATIONS = 100
 
@@ -256,24 +256,10 @@ def build_centroid_bank(
     background: list[Centroid] = []
     for record in sorted(manifest.records, key=lambda r: r.image_id):
         fmap = features[record.image_id]
-        if fmap.embedding_dim != manifest.embedding_dim:
-            raise ValueError(
-                f"{record.image_id}: feature dim {fmap.embedding_dim} != manifest "
-                f"embedding_dim {manifest.embedding_dim}"
-            )
         label = pseudo_labels[record.image_id]
-        if label.spatial_shape != fmap.spatial_shape:
-            raise ValueError(
-                f"{record.image_id}: label shape {label.spatial_shape} != feature shape "
-                f"{fmap.spatial_shape}"
-            )
+        check_image(record, fmap, label, manifest.embedding_dim)
         if label.has_sentinel():
             raise ValueError(f"{record.image_id}: pseudo label must not contain -1")
-        extra = set(label.foreground_classes()) - record.truth_classes
-        if extra:
-            raise ValueError(
-                f"{record.image_id}: pseudo label classes {sorted(extra)} outside truth set"
-            )
         for class_id in (0,) + label.foreground_classes():
             vectors = decompose_class_vectors(fmap, label, class_id)
             if vectors.shape[0] == 0:

@@ -17,13 +17,14 @@ from pathlib import Path
 from . import formats
 from .bank import build_centroid_bank
 from .core import DatasetManifest
+from .debiasing import debias_image
 from .evaluation import (
     evaluate_predictions,
     per_class_fp_rows,
     report_json,
     report_text,
 )
-from .pipeline import FLAG_FIELDS, SWEEPABLE, PipelineParams, debias_record, sweep
+from .pipeline import FLAG_FIELDS, SWEEPABLE, PipelineParams, sweep
 from .selection import select_debiased, selection_rows
 from .synth import SynthConfig, generate
 from .trainloop import train, write_metrics_csv
@@ -116,7 +117,7 @@ def _cmd_debias(args) -> int:
     for record in manifest.records:
         fmap = formats.read_feature_map(record.feature_path)
         pseudo = formats.read_label_map(record.label_path, manifest.num_classes)
-        debiased = debias_record(record, fmap, pseudo, cset, args.threshold)
+        debiased = debias_image(record, fmap, pseudo, cset, args.threshold)
         rewritten += int((debiased.data == -1).sum())
         formats.write_label_map(out_dir / f"{record.image_id}.bin", debiased)
     print(f"wrote {len(manifest.records)} debiased labels ({rewritten} pixels rewritten)")

@@ -18,6 +18,7 @@ __all__ = [
     "LabelMap",
     "ImageRecord",
     "DatasetManifest",
+    "check_image",
     "unit_rows",
 ]
 
@@ -161,6 +162,8 @@ class DatasetManifest:
             raise ValueError("num_classes must be >= 1")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be >= 1")
+        if not records:
+            raise ValueError("manifest has no records")
         ids = [r.image_id for r in records]
         if len(set(ids)) != len(ids):
             raise ValueError("manifest image_ids must be unique")
@@ -170,3 +173,24 @@ class DatasetManifest:
                     f"{r.image_id}: truth class exceeds num_classes={self.num_classes}"
                 )
         object.__setattr__(self, "records", records)
+
+
+def check_image(
+    record: ImageRecord, fmap: FeatureMap, label: LabelMap, embedding_dim: int
+) -> None:
+    """The per-image contract of cluster, debias and train: the map has the manifest's
+    embedding dim, the label has the map's shape, and the label has no
+    foreground class outside the record's truth set.  Errors name the image."""
+    if fmap.embedding_dim != embedding_dim:
+        raise ValueError(
+            f"{record.image_id}: feature dim {fmap.embedding_dim} != manifest "
+            f"embedding_dim {embedding_dim}"
+        )
+    if label.spatial_shape != fmap.spatial_shape:
+        raise ValueError(
+            f"{record.image_id}: label shape {label.spatial_shape} != feature shape "
+            f"{fmap.spatial_shape}"
+        )
+    extra = set(label.foreground_classes()) - record.truth_classes
+    if extra:
+        raise ValueError(f"{record.image_id}: label classes {sorted(extra)} outside truth set")

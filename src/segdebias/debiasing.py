@@ -7,35 +7,30 @@ similarity stays below one global threshold become -1.
 
 from __future__ import annotations
 
-from typing import Iterable
+import logging
+from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMap, LabelMap
+from .core import FeatureMap, ImageRecord, LabelMap, check_image
 from .selection import DebiasedCentroidSet
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["debias_image"]
 
 
 def _similarity(
-    fmap: FeatureMap, centroids: DebiasedCentroidSet, truth_classes: Iterable[int]
+    fmap: FeatureMap, centroids: DebiasedCentroidSet, classes: Sequence[int]
 ) -> np.ndarray:
-    """Per-pixel max cosine similarity over the image's truth classes,
-    negatives clipped to zero.  Returns a (H, W) float64 array in [0, 1].
-
-    Truth classes without a debiased centroid are skipped; if none remain the
-    map is undefined and an error is raised.
-    """
-    truth = sorted(set(int(c) for c in truth_classes))
-    usable = [c for c in truth if c in centroids.per_class]
-    if not usable:
-        raise ValueError(f"no usable centroids: none for truth classes {truth}")
-
+    """Per-pixel max cosine similarity over the given classes, each of which
+    has a debiased centroid, negatives clipped to zero.  Returns a (H, W)
+    float64 array in [0, 1]."""
     d, h, w = fmap.data.shape
     flat = fmap.data.reshape(d, h * w).astype(np.float64)
     norms = np.linalg.norm(flat, axis=0)
     best = np.full(h * w, -1.0)
-    for class_id in usable:
+    for class_id in classes:
         vec = centroids.per_class[class_id]
         vec_norm = float(np.linalg.norm(vec))
         sims = np.clip((vec @ flat) / (norms * vec_norm), -1.0, 1.0)
@@ -44,33 +39,42 @@ def _similarity(
 
 
 def debias_image(
+    record: ImageRecord,
     fmap: FeatureMap,
     pseudo: LabelMap,
     centroids: DebiasedCentroidSet,
-    truth_classes: Iterable[int],
     threshold: float,
 ) -> LabelMap:
-    """Rewrite to -1 every foreground pixel whose similarity does not reach
-    the threshold.
+    """Rewrite to -1 every foreground pixel of the record's image whose
+    similarity does not reach the threshold.
 
     Background pixels are never touched, so every output value is either the
     input value or -1 on a formerly-foreground pixel.  A NaN similarity never
-    reaches the threshold.
+    reaches the threshold.  Truth classes without a debiased centroid are
+    skipped with a warning; if none remain the image cannot be debiased.  The
+    warning and every error name the image.
     """
+    image_id = record.image_id
+    truth = sorted(record.truth_classes)
+    usable = [c for c in truth if c in centroids.per_class]
+    skipped = [c for c in truth if c not in centroids.per_class]
+    if skipped:
+        logger.warning("%s: no debiased centroid for classes %s; skipping them", image_id, skipped)
     if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    if pseudo.spatial_shape != fmap.spatial_shape:
-        raise ValueError(
-            f"label shape {pseudo.spatial_shape} != feature shape {fmap.spatial_shape}"
-        )
+        raise ValueError(f"{image_id}: threshold must lie in [0, 1], got {threshold}")
+    # debias holds no manifest; the map's dim is checked against the centroids below
+    check_image(record, fmap, pseudo, fmap.embedding_dim)
     if pseudo.has_sentinel():
-        raise ValueError("pseudo label must not already contain -1")
+        raise ValueError(f"{image_id}: pseudo label must not already contain -1")
     for vec in centroids.per_class.values():
         if vec.shape[0] != fmap.embedding_dim:
             raise ValueError(
-                f"centroid vector length {vec.shape[0]} != feature dim {fmap.embedding_dim}"
+                f"{image_id}: centroid vector length {vec.shape[0]} != feature dim "
+                f"{fmap.embedding_dim}"
             )
-    keep = _similarity(fmap, centroids, truth_classes) >= threshold
+    if not usable:
+        raise ValueError(f"{image_id}: no usable centroids: none for truth classes {truth}")
+    keep = _similarity(fmap, centroids, usable) >= threshold
     out = pseudo.data.copy()
     out[(pseudo.data > 0) & ~keep] = -1
     return LabelMap(out, pseudo.num_classes)

@@ -7,26 +7,22 @@ chain cheaply without touching disk.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
-from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
+from .core import DatasetManifest, FeatureMap, LabelMap
 from .debiasing import debias_image
-from .evaluation import EvalReport, evaluate_predictions, require_shared_ids
+from .evaluation import EvalReport, require_shared_ids
 from .selection import DebiasedCentroidSet, select_debiased
 from .trainloop import TrainConfig, TrainResult, train
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "PipelineParams",
     "PipelineResult",
-    "debias_record",
     "debias_all",
     "run_pipeline",
     "sweep",
@@ -75,27 +71,7 @@ class PipelineResult:
     centroid_set: DebiasedCentroidSet
     debiased: Mapping[str, LabelMap]
     train_result: TrainResult
-    report: Optional[EvalReport]
-
-
-def debias_record(
-    record: ImageRecord,
-    fmap: FeatureMap,
-    pseudo: LabelMap,
-    centroid_set: DebiasedCentroidSet,
-    threshold: float,
-) -> LabelMap:
-    """debias_image for one manifest record.  Truth classes without a debiased
-    centroid are skipped with a warning; the warning and any error name the image."""
-    skipped = sorted(record.truth_classes.difference(centroid_set.per_class))
-    if skipped:
-        logger.warning(
-            "%s: no debiased centroid for classes %s; skipping them", record.image_id, skipped
-        )
-    try:
-        return debias_image(fmap, pseudo, centroid_set, record.truth_classes, threshold)
-    except ValueError as exc:
-        raise ValueError(f"{record.image_id}: {exc}") from exc
+    report: EvalReport
 
 
 def debias_all(
@@ -106,7 +82,7 @@ def debias_all(
     threshold: float,
 ) -> dict[str, LabelMap]:
     return {
-        r.image_id: debias_record(
+        r.image_id: debias_image(
             r, features[r.image_id], pseudo_labels[r.image_id], centroid_set, threshold
         )
         for r in manifest.records
@@ -118,11 +94,12 @@ def run_pipeline(
     features: Mapping[str, FeatureMap],
     pseudo_labels: Mapping[str, LabelMap],
     params: PipelineParams,
-    ground_truth: Optional[Mapping[str, LabelMap]] = None,
+    ground_truth: Mapping[str, LabelMap],
 ) -> PipelineResult:
-    if ground_truth:
-        # the final evaluation needs ground truth for every record; fail before clustering
-        require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
+    """cluster -> select -> debias -> train; the report is train's score of
+    its final predictions.  Ground truth must cover every record."""
+    # train's score needs ground truth for every record; check it before clustering
+    require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
     bank = build_centroid_bank(
         manifest,
         pseudo_labels,
@@ -138,17 +115,14 @@ def run_pipeline(
         debiased,
         params.train_config(),
         features=features,
-        ground_truth=ground_truth or {},
+        ground_truth=ground_truth,
     )
-    rep = None
-    if ground_truth:
-        rep = evaluate_predictions(ground_truth, result.predictions, manifest.num_classes)
     return PipelineResult(
         bank=bank,
         centroid_set=centroid_set,
         debiased=debiased,
         train_result=result,
-        report=rep,
+        report=result.report,
     )
 
 

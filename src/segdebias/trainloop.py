@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from . import formats
-from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array
-from .evaluation import evaluate_predictions
+from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array, check_image
+from .evaluation import EvalReport, evaluate_predictions
 
 LOG_CLAMP = 1e-12
 
@@ -92,10 +92,13 @@ class EpochMetrics:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """The final teacher, the per-epoch metrics, the teacher's predictions and
+    their score; the report is None only when training had no ground truth."""
+
     teacher: SegHead
-    student: SegHead
     metrics: tuple[EpochMetrics, ...]
     predictions: Mapping[str, LabelMap]
+    report: Optional[EvalReport]
 
 
 def _flat64(fmap: FeatureMap) -> np.ndarray:
@@ -168,16 +171,7 @@ def _targets(
             raise ValueError(f"missing debiased label for {record.image_id}")
         fmap = features[record.image_id]
         ydb = debiased_labels[record.image_id]
-        if fmap.embedding_dim != manifest.embedding_dim:
-            raise ValueError(
-                f"{record.image_id}: feature dim {fmap.embedding_dim} != manifest "
-                f"embedding_dim {manifest.embedding_dim}"
-            )
-        if ydb.spatial_shape != fmap.spatial_shape:
-            raise ValueError(
-                f"{record.image_id}: debiased label dims {ydb.spatial_shape} != "
-                f"feature dims {fmap.spatial_shape}"
-            )
+        check_image(record, fmap, ydb, manifest.embedding_dim)
         # ImageRecord and DatasetManifest keep truth classes non-empty and in [1, C]
         foreground = sorted(record.truth_classes)
         targets.append(
@@ -244,12 +238,12 @@ def train(
     features: Mapping[str, FeatureMap],
     ground_truth: Mapping[str, LabelMap],
 ) -> TrainResult:
-    """Run the full teacher-student loop and return the final heads.
+    """Run the full teacher-student loop and return the final teacher.
 
     Image order is a seeded shuffle per epoch; with epochs == 0 the
-    initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged
-    unless ground truth is empty, and then it must cover every record; ids
-    outside the manifest are ignored.
+    initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged,
+    and the final predictions scored, unless ground truth is empty, and then
+    it must cover every record; ids outside the manifest are ignored.
     """
     targets = _targets(manifest, debiased_labels, features)
     records = manifest.records
@@ -264,6 +258,7 @@ def train(
 
     metrics: list[EpochMetrics] = []
     predictions: Optional[dict[str, LabelMap]] = None
+    report: Optional[EvalReport] = None
     for epoch in range(config.epochs):
         predictions = None  # the last epoch's labels are not kept while new ones are made
         order = rng.permutation(len(records))
@@ -285,20 +280,22 @@ def train(
 
         if truth:
             predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
-            rep = evaluate_predictions(truth, predictions, manifest.num_classes)
+            report = evaluate_predictions(truth, predictions, manifest.num_classes)
             metrics.append(
-                EpochMetrics(epoch, epoch_loss, rep.miou, rep.fp_rate, rep.fn_rate)
+                EpochMetrics(epoch, epoch_loss, report.miou, report.fp_rate, report.fn_rate)
             )
         else:
             metrics.append(EpochMetrics(epoch, epoch_loss))
 
-    if predictions is None:
+    if predictions is None:  # no epoch was scored
         predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
+        if truth:
+            report = evaluate_predictions(truth, predictions, manifest.num_classes)
     return TrainResult(
         teacher=SegHead(teacher_w, teacher_b),
-        student=SegHead(student_w, student_b),
         metrics=tuple(metrics),
         predictions=predictions,
+        report=report,
     )
 
 

@@ -94,6 +94,14 @@ def test_missing_input_is_nonzero(tmp_path):
                  "--out", str(tmp_path / "bank.bin")]) == 1
 
 
+def test_manifest_without_records_is_nonzero(tmp_path, capsys):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text('{"embedding_dim": 4, "num_classes": 2}\n')
+    assert main(["cluster", "--manifest", str(path), "--out", str(tmp_path / "bank.bin")]) == 1
+    assert f"error: {path}: manifest has no records" in capsys.readouterr().err
+    assert not (tmp_path / "bank.bin").exists()
+
+
 def test_missing_required_flag_shows_usage(capsys):
     with pytest.raises(SystemExit) as err:
         main(["cluster"])
@@ -464,3 +472,26 @@ def test_sweep_without_ground_truth_fails_before_any_run(corpus_dir, tmp_path, c
     err = capsys.readouterr().err
     assert f"{manifest.records[0].image_id} has no ground truth" in err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_train_rejects_a_label_class_outside_the_truth_set(
+    corpus_dir, default_chain, tmp_path, capsys
+):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    record = next(r for r in manifest.records if len(r.truth_classes) == 1)
+    (own,) = record.truth_classes
+    other = 3 - own
+    debiased = tmp_path / "debiased"
+    debiased.mkdir()
+    for r in manifest.records:
+        path = default_chain / "debiased" / f"{r.image_id}.bin"
+        label = formats.read_label_map(path, manifest.num_classes)
+        if r is record:
+            label = LabelMap(np.where(label.data == own, other, label.data), label.num_classes)
+        formats.write_label_map(debiased / f"{r.image_id}.bin", label)
+    assert main(["train", "--manifest", str(corpus_dir / "manifest.jsonl"), "--debiased",
+                 str(debiased), "--epochs", "1",
+                 "--out", str(tmp_path / "head.bin"), "--log", str(tmp_path / "log.csv")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {record.image_id}: label classes [{other}] outside truth set" in err
+    assert not (tmp_path / "head.bin").exists() and not (tmp_path / "log.csv").exists()

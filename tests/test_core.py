@@ -156,6 +156,10 @@ class TestRecords:
         with pytest.raises(ValueError, match="unique"):
             DatasetManifest(records=(rec, rec), num_classes=2, embedding_dim=4)
 
+    def test_manifest_needs_a_record(self):
+        with pytest.raises(ValueError, match="manifest has no records"):
+            DatasetManifest(records=(), num_classes=2, embedding_dim=4)
+
     def test_manifest_truth_class_bound(self):
         rec = ImageRecord("a", "f", "l", frozenset({5}))
         with pytest.raises(ValueError, match="exceeds"):

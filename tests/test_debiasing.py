@@ -1,4 +1,5 @@
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from segdebias import debiasing
 from segdebias.core import FeatureMap, ImageRecord, LabelMap
 from segdebias.debiasing import _similarity, debias_image
-from segdebias.pipeline import debias_record
 from segdebias.selection import DebiasedCentroidSet
 
 from conftest import random_feature_map
@@ -28,12 +28,18 @@ def centroid_set(vectors):
     )
 
 
+def record(truth):
+    return ImageRecord("img", "img.f", "img.l", frozenset(truth))
+
+
 def debias_with_similarity(sim, pseudo, threshold):
-    """debias_image on an image whose similarity map is fixed to `sim`."""
+    """debias_image on an image whose similarity map is fixed to `sim`; every
+    class of the label is a truth class."""
     sim = np.asarray(sim, dtype=np.float64)
     fmap = FeatureMap(np.ones((1, *sim.shape), dtype=np.float32))
+    truth = record(range(1, pseudo.num_classes + 1))
     with mock.patch.object(debiasing, "_similarity", lambda *args: sim):
-        return debias_image(fmap, pseudo, centroid_set({1: [1.0]}), {1}, threshold)
+        return debias_image(truth, fmap, pseudo, centroid_set({1: [1.0]}), threshold)
 
 
 def foreground(shape):
@@ -42,8 +48,17 @@ def foreground(shape):
 
 def test_centroid_length_must_match_feature_dim():
     fmap = FeatureMap(np.ones((3, 2, 2), dtype=np.float32))
-    with pytest.raises(ValueError, match="centroid vector length 2 != feature dim 3"):
-        debias_image(fmap, foreground((2, 2)), centroid_set({1: [1.0, 0.0]}), {1}, 0.3)
+    with pytest.raises(ValueError, match="img: centroid vector length 2 != feature dim 3"):
+        debias_image(record({1}), fmap, foreground((2, 2)), centroid_set({1: [1.0, 0.0]}), 0.3)
+
+
+def test_label_class_outside_truth_set_rejected():
+    rng = np.random.default_rng(3)
+    fmap = random_feature_map(rng, 3, 2, 2)
+    pseudo = LabelMap(np.array([[1, 2], [0, 0]], dtype=np.int16), 2)
+    cset = centroid_set({1: rng.normal(size=3), 2: rng.normal(size=3)})
+    with pytest.raises(ValueError, match=r"img: label classes \[2\] outside truth set"):
+        debias_image(record({1}), fmap, pseudo, cset, 0.3)
 
 
 class TestSimilarityMap:
@@ -51,46 +66,48 @@ class TestSimilarityMap:
         v = unit([1.0, 2.0, 2.0])
         data = np.tile(v[:, None, None], (1, 2, 2)).astype(np.float32)
         fmap = FeatureMap(data)
-        sim = _similarity(fmap, centroid_set({1: v}), {1})
+        sim = _similarity(fmap, centroid_set({1: v}), [1])
         assert np.allclose(sim, 1.0, atol=1e-6)
 
     def test_orthogonal_pixel_is_zero(self):
         fmap = FeatureMap(np.array([[[1.0]], [[0.0]]], dtype=np.float32))
-        sim = _similarity(fmap, centroid_set({1: [0.0, 1.0]}), {1})
+        sim = _similarity(fmap, centroid_set({1: [0.0, 1.0]}), [1])
         assert sim[0, 0] == 0.0
 
     def test_negative_similarity_clipped(self):
         fmap = FeatureMap(np.array([[[1.0]], [[0.0]]], dtype=np.float32))
-        sim = _similarity(fmap, centroid_set({1: [-1.0, 0.0]}), {1})
+        sim = _similarity(fmap, centroid_set({1: [-1.0, 0.0]}), [1])
         assert sim[0, 0] == 0.0
 
     def test_two_classes_equal_elementwise_max(self):
         rng = np.random.default_rng(9)
         fmap = random_feature_map(rng, 4, 5, 6)
         cset = centroid_set({1: rng.normal(size=4), 2: rng.normal(size=4)})
-        combined = _similarity(fmap, cset, {1, 2})
-        single_1 = _similarity(fmap, cset, {1})
-        single_2 = _similarity(fmap, cset, {2})
+        combined = _similarity(fmap, cset, [1, 2])
+        single_1 = _similarity(fmap, cset, [1])
+        single_2 = _similarity(fmap, cset, [2])
         assert np.allclose(combined, np.maximum(single_1, single_2), atol=1e-15)
 
     def test_missing_class_skipped_with_warning(self, caplog):
         rng = np.random.default_rng(1)
         fmap = random_feature_map(rng, 3, 2, 2)
         cset = centroid_set({1: rng.normal(size=3)})
-        assert np.array_equal(_similarity(fmap, cset, {1, 2}), _similarity(fmap, cset, {1}))
-        record = ImageRecord("img_3", "f", "l", frozenset({1, 2}))
         pseudo = LabelMap(np.array([[1, 2], [0, 0]], dtype=np.int16), 2)
         with caplog.at_level(logging.WARNING):
-            debiased = debias_record(record, fmap, pseudo, cset, 0.3)
-        assert "img_3: no debiased centroid for classes [2]; skipping them" in caplog.text
-        assert debiased.spatial_shape == (2, 2)
+            debiased = debias_image(record({1, 2}), fmap, pseudo, cset, 0.3)
+        assert "img: no debiased centroid for classes [2]; skipping them" in caplog.text
+        keep = _similarity(fmap, cset, [1]) >= 0.3
+        expected = np.where((pseudo.data > 0) & ~keep, -1, pseudo.data)
+        assert np.array_equal(debiased.data, expected)
 
     def test_no_usable_centroids(self):
         rng = np.random.default_rng(1)
         fmap = random_feature_map(rng, 3, 2, 2)
         cset = centroid_set({1: rng.normal(size=3)})
-        with pytest.raises(ValueError, match="no usable centroids"):
-            _similarity(fmap, cset, {2, 3})
+        pseudo = LabelMap(np.zeros((2, 2), dtype=np.int16), 3)
+        message = "img: no usable centroids: none for truth classes [2, 3]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            debias_image(record({2, 3}), fmap, pseudo, cset, 0.3)
 
 
 class TestBinarize:
@@ -135,7 +152,7 @@ class TestDebiasLabel:
         fmap = random_feature_map(rng, 3, 3, 2)
         pseudo = LabelMap(np.zeros((2, 2), dtype=np.int16), 1)
         with pytest.raises(ValueError, match="shape"):
-            debias_image(fmap, pseudo, centroid_set({1: rng.normal(size=3)}), {1}, 0.3)
+            debias_image(record({1}), fmap, pseudo, centroid_set({1: rng.normal(size=3)}), 0.3)
 
     def test_rejects_existing_sentinel(self):
         pseudo = LabelMap(np.array([[-1]], dtype=np.int16), 1)
@@ -160,7 +177,7 @@ class TestDebiasLabel:
         cset = centroid_set({1: rng.normal(size=4), 2: rng.normal(size=4)})
         previous = None
         for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = debias_image(fmap, pseudo, cset, {1, 2}, threshold)
+            out = debias_image(record({1, 2}), fmap, pseudo, cset, threshold)
             current = set(map(tuple, np.argwhere(out.data == -1)))
             if previous is not None:
                 assert previous <= current

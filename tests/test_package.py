@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -123,3 +124,18 @@ def test_every_config_field_is_set_somewhere():
         if not any(name == field and owner != cls.__name__ for name, owner in named)
     ]
     assert not unset, f"fields no caller sets: {unset}"
+
+
+def test_every_benchmark_hook_resolves():
+    """bench/tracer.py wraps each ENTRY_POINTS name on its segdebias.<layer>
+    module; a renamed or deleted entry point would break only traced runs."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"segdebias.{layer}.{name}"
+        for layer, entries in tracer.ENTRY_POINTS.items()
+        for name in entries
+        if not callable(getattr(importlib.import_module(f"segdebias.{layer}"), name, None))
+    ]
+    assert missing == []

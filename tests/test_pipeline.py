@@ -1,10 +1,11 @@
 import logging
 import re
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
 
-from segdebias import pipeline
+from segdebias import evaluation, pipeline
 from segdebias.core import DatasetManifest
 from segdebias.pipeline import PipelineParams, debias_all, run_pipeline
 from segdebias.selection import DebiasedCentroidSet
@@ -75,6 +76,21 @@ def test_unshared_ground_truth_fails_before_clustering(
             PipelineParams(),
             ground_truth(standard_corpus.ground_truth()),
         )
+
+
+def test_the_chain_scores_each_epoch_once(standard_corpus):
+    """train's last epoch score is the report: no image is tallied a third time."""
+    params = PipelineParams(epochs=2)
+    with mock.patch.object(evaluation, "_tally", wraps=evaluation._tally) as tally:
+        result = run_pipeline(
+            standard_corpus.manifest,
+            standard_corpus.features(),
+            standard_corpus.pseudo_labels(),
+            params,
+            standard_corpus.ground_truth(),
+        )
+    assert tally.call_count == 2 * len(standard_corpus.manifest.records)
+    assert result.report is result.train_result.report
 
 
 def test_debias_without_centroid_names_the_image(standard_corpus, standard_centroids):

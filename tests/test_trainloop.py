@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import segdebias.trainloop as tl
 from segdebias.core import DatasetManifest, ImageRecord, LabelMap
-from segdebias.evaluation import _report, _tally
+from segdebias.evaluation import _report, _tally, evaluate_predictions
 from segdebias.trainloop import (
     SegHead,
     TrainConfig,
@@ -219,8 +221,11 @@ class TestEMA:
         manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=3, ema_momentum=0.0, learning_rate=0.05)
         result = train(manifest, debiased, config, features=features, ground_truth=gts)
-        assert np.array_equal(result.teacher.weights, result.student.weights)
-        assert np.array_equal(result.teacher.bias, result.student.bias)
+        _, student, _, _ = reference_train(
+            manifest, debiased, config, features=features, ground_truth=gts
+        )
+        assert np.array_equal(result.teacher.weights, student.weights)
+        assert np.array_equal(result.teacher.bias, student.bias)
 
     def test_fixpoint(self, tmp_path, monkeypatch):
         manifest, features, debiased, gts = single_image(tmp_path)
@@ -231,18 +236,26 @@ class TestEMA:
         config = TrainConfig(epochs=5)
         result = train(manifest, debiased, config, features=features, ground_truth=gts)
         initial = self._initial(manifest, 0)
-        assert np.array_equal(result.student.weights, initial.weights)
         assert np.allclose(result.teacher.weights, initial.weights)
         assert np.allclose(result.teacher.bias, initial.bias)
+        # with momentum 0 the teacher is the student, which no step moves
+        still = replace(config, ema_momentum=0.0)
+        student = train(manifest, debiased, still, features=features, ground_truth=gts).teacher
+        assert np.array_equal(student.weights, initial.weights)
+        assert np.array_equal(student.bias, initial.bias)
 
     def test_scalar_step(self, tmp_path):
         manifest, features, debiased, gts = single_image(tmp_path)
         config = TrainConfig(epochs=1, ema_momentum=0.99, learning_rate=0.05)
         result = train(manifest, debiased, config, features=features, ground_truth=gts)
         initial = self._initial(manifest, 0)
-        expected = 0.99 * initial.weights + (1.0 - 0.99) * result.student.weights
+        # the first step's student does not depend on the momentum, and with
+        # momentum 0 the teacher is that student
+        copy = replace(config, ema_momentum=0.0)
+        student = train(manifest, debiased, copy, features=features, ground_truth=gts).teacher
+        expected = 0.99 * initial.weights + (1.0 - 0.99) * student.weights
         assert np.array_equal(result.teacher.weights, expected)
-        assert not np.array_equal(result.student.weights, initial.weights)
+        assert not np.array_equal(student.weights, initial.weights)
 
     def test_geometric_convergence(self, tmp_path, monkeypatch):
         manifest, features, debiased, _ = single_image(tmp_path)
@@ -257,12 +270,14 @@ class TestEMA:
 
         monkeypatch.setattr(tl, "_gradient", first_step_only)
         initial = self._initial(manifest, 0)
+        # one step of the all-ones gradient at rate 0.1, and none after
+        student = initial.weights - 0.1
         for n in range(1, 12):
             steps.clear()
             config = TrainConfig(epochs=n, ema_momentum=momentum, learning_rate=0.1)
             result = train(manifest, debiased, config, features=features, ground_truth={})
-            gap0 = np.linalg.norm(initial.weights - result.student.weights)
-            gap = np.linalg.norm(result.teacher.weights - result.student.weights)
+            gap0 = np.linalg.norm(initial.weights - student)
+            gap = np.linalg.norm(result.teacher.weights - student)
             assert gap0 > 0.0
             assert gap <= momentum**n * gap0 + 1e-12
 
@@ -280,7 +295,9 @@ class TestTrain:
         r2 = train(manifest, debiased, config, features=features, ground_truth=gts)
         assert r1.metrics == ()
         assert np.array_equal(r1.teacher.weights, r2.teacher.weights)
-        assert np.array_equal(r1.teacher.weights, r1.student.weights)
+        initial = SegHead.initialize(2, 4, np.random.default_rng(5))
+        assert np.array_equal(r1.teacher.weights, initial.weights)
+        assert np.array_equal(r1.teacher.bias, initial.bias)
 
     def test_training_reduces_loss(self, tmp_path):
         manifest, features, debiased, gts = single_image(tmp_path)
@@ -314,7 +331,26 @@ class TestTrain:
         r1 = train(manifest, debiased, config, features=features, ground_truth=gts)
         r2 = train(manifest, debiased, config, features=features, ground_truth=gts)
         assert np.array_equal(r1.teacher.weights, r2.teacher.weights)
-        assert np.array_equal(r1.student.bias, r2.student.bias)
+        assert np.array_equal(r1.teacher.bias, r2.teacher.bias)
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_report_scores_the_returned_predictions(self, tmp_path, epochs):
+        manifest, features, debiased, gts = single_image(tmp_path)
+        config = TrainConfig(epochs=epochs, seed=0)
+        result = train(manifest, debiased, config, features=features, ground_truth=gts)
+        assert result.report == evaluate_predictions(gts, result.predictions, 2)
+
+    def test_no_report_without_ground_truth(self, tmp_path):
+        manifest, features, debiased, _ = single_image(tmp_path)
+        config = TrainConfig(epochs=2, seed=0)
+        assert train(manifest, debiased, config, features=features, ground_truth={}).report is None
+
+    def test_label_class_outside_truth_set_rejected(self, tmp_path):
+        manifest, features, debiased, gts = single_image(tmp_path)
+        only_1 = replace(manifest.records[0], truth_classes=frozenset({1}))
+        narrow = replace(manifest, records=(only_1,))
+        with pytest.raises(ValueError, match=r"img: label classes \[2\] outside truth set"):
+            train(narrow, debiased, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
     def test_feature_dim_mismatch_names_the_image(self, tmp_path):
         manifest, _, debiased, gts = single_image(tmp_path)
@@ -346,7 +382,7 @@ class TestTrain:
 
         monkeypatch.setattr(tl, "_softmax", no_step)
         wide = {"img": LabelMap(np.zeros((4, 5), dtype=np.int16), 2)}
-        with pytest.raises(ValueError, match=r"img: debiased label dims \(4, 5\)"):
+        with pytest.raises(ValueError, match=r"img: label shape \(4, 5\) != feature shape"):
             train(manifest, wide, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
     def test_config_validation(self):
@@ -493,13 +529,17 @@ def _random_training_set(seed, num_images, d, h, w, num_classes):
     complement=st.booleans(),
     certainty=st.booleans(),
     with_gt=st.booleans(),
+    momentum=st.sampled_from([0.0, 0.99]),
 )
 @settings(max_examples=30, deadline=None)
-def test_train_bit_identical_to_per_step_reference(seed, shape, complement, certainty, with_gt):
+def test_train_bit_identical_to_per_step_reference(
+    seed, shape, complement, certainty, with_gt, momentum
+):
     manifest, features, debiased, gts = _random_training_set(seed, *shape)
     config = TrainConfig(
         epochs=3,
         learning_rate=0.05,
+        ema_momentum=momentum,
         seed=seed,
         complement=complement,
         certainty_weighting=certainty,
@@ -511,8 +551,9 @@ def test_train_bit_identical_to_per_step_reference(seed, shape, complement, cert
     )
     assert np.array_equal(result.teacher.weights, teacher.weights)
     assert np.array_equal(result.teacher.bias, teacher.bias)
-    assert np.array_equal(result.student.weights, student.weights)
-    assert np.array_equal(result.student.bias, student.bias)
+    if momentum == 0.0:  # the teacher is the student
+        assert np.array_equal(result.teacher.weights, student.weights)
+        assert np.array_equal(result.teacher.bias, student.bias)
     assert [(m.epoch, m.loss, m.miou, m.fp_rate, m.fn_rate) for m in result.metrics] == metrics
     assert result.predictions.keys() == predictions.keys()
     for image_id, label in predictions.items():

@@ -17,14 +17,13 @@ from pathlib import Path
 from . import formats
 from .bank import build_centroid_bank
 from .core import DatasetManifest
-from .debiasing import debias_image
 from .evaluation import (
     evaluate_predictions,
     per_class_fp_rows,
     report_json,
     report_text,
 )
-from .pipeline import FLAG_FIELDS, SWEEPABLE, PipelineParams, sweep
+from .pipeline import FLAG_FIELDS, SWEEPABLE, PipelineParams, debias_all, sweep
 from .selection import select_debiased, selection_rows
 from .synth import SynthConfig, generate
 from .trainloop import train, write_metrics_csv
@@ -92,7 +91,7 @@ def _cmd_cluster(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     labels = formats.load_pseudo_labels(manifest)
     bank = build_centroid_bank(
-        manifest, labels, args.k_fg, args.k_bg, args.seed, formats.load_features(manifest)
+        manifest, labels, args.k_fg, args.k_bg, args.seed, formats.FeatureFiles(manifest)
     )
     formats.write_centroid_bank(args.out, bank)
     n_fg = sum(len(v) for v in bank.foreground.values())
@@ -113,14 +112,17 @@ def _cmd_debias(args) -> int:
     cset = formats.read_centroid_set(args.centroids)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rewritten = 0
-    for record in manifest.records:
-        fmap = formats.read_feature_map(record.feature_path)
-        pseudo = formats.read_label_map(record.label_path, manifest.num_classes)
-        debiased = debias_image(record, fmap, pseudo, cset, args.threshold)
-        rewritten += int((debiased.data == -1).sum())
-        formats.write_label_map(out_dir / f"{record.image_id}.bin", debiased)
-    print(f"wrote {len(manifest.records)} debiased labels ({rewritten} pixels rewritten)")
+    debiased = debias_all(
+        manifest,
+        formats.FeatureFiles(manifest),
+        formats.load_pseudo_labels(manifest),
+        cset,
+        args.threshold,
+    )
+    for image_id, label in debiased.items():
+        formats.write_label_map(out_dir / f"{image_id}.bin", label)
+    rewritten = sum(int((label.data == -1).sum()) for label in debiased.values())
+    print(f"wrote {len(debiased)} debiased labels ({rewritten} pixels rewritten)")
     return 0
 
 
@@ -132,7 +134,7 @@ def _cmd_train(args) -> int:
         manifest,
         debiased,
         config,
-        features=formats.load_features(manifest),
+        features=formats.FeatureFiles(manifest),
         ground_truth=formats.load_ground_truth(manifest),
     )
     formats.write_checkpoint(args.out, result.teacher)

@@ -69,8 +69,9 @@ class FeatureMap:
             raise ValueError(f"feature map dims must be >= 1, got {data.shape}")
         if not np.isfinite(data).all():
             raise ValueError("feature map contains non-finite values")
-        norms = np.linalg.norm(data.astype(np.float64), axis=0)
-        if np.any(norms == 0.0):
+        # every value is finite here, and a nonzero float32 squared never
+        # underflows in float64, so a pixel has zero norm iff all its entries are ±0
+        if not (data != 0).any(axis=0).all():
             raise ValueError("degenerate vector: zero-norm pixel embedding")
         object.__setattr__(self, "data", _frozen_array(data))
 

@@ -44,9 +44,12 @@ def debias_image(
     pseudo: LabelMap,
     centroids: DebiasedCentroidSet,
     threshold: float,
+    *,
+    embedding_dim: int,
 ) -> LabelMap:
     """Rewrite to -1 every foreground pixel of the record's image whose
-    similarity does not reach the threshold.
+    similarity does not reach the threshold.  The map must have the
+    manifest's embedding_dim, and so must every centroid vector.
 
     Background pixels are never touched, so every output value is either the
     input value or -1 on a formerly-foreground pixel.  A NaN similarity never
@@ -62,8 +65,7 @@ def debias_image(
         logger.warning("%s: no debiased centroid for classes %s; skipping them", image_id, skipped)
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"{image_id}: threshold must lie in [0, 1], got {threshold}")
-    # debias holds no manifest; the map's dim is checked against the centroids below
-    check_image(record, fmap, pseudo, fmap.embedding_dim)
+    check_image(record, fmap, pseudo, embedding_dim)
     if pseudo.has_sentinel():
         raise ValueError(f"{image_id}: pseudo label must not already contain -1")
     for vec in centroids.per_class.values():

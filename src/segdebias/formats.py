@@ -27,6 +27,7 @@ import json
 import os
 import struct
 import tempfile
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -82,12 +83,17 @@ class _Reader:
     def error(self, message: str, offset: int) -> FormatError:
         return FormatError(f"{self.path}: {message}", offset)
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.blob):
-            raise self.error(f"payload length mismatch: truncated {what}", self.offset)
-        out = self.blob[self.offset : self.offset + n]
+    def skip(self, n: int, what: str) -> int:
+        """Step over n bytes without copying them; returns where they start."""
+        start = self.offset
+        if start + n > len(self.blob):
+            raise self.error(f"payload length mismatch: truncated {what}", start)
         self.offset += n
-        return out
+        return start
+
+    def take(self, n: int, what: str) -> bytes:
+        start = self.skip(n, what)
+        return self.blob[start : self.offset]
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -143,9 +149,10 @@ def read_feature_map(path) -> FeatureMap:
         raise r.error("dim overflow: D must be >= 1", 8)
     h = r.spatial("H")
     w = r.spatial("W")
-    payload = r.take(d * h * w * 4, "feature payload")
+    count = d * h * w
+    start = r.skip(count * 4, "feature payload")
     r.expect_end()
-    data = np.frombuffer(payload, dtype="<f4").reshape(d, h, w)
+    data = np.frombuffer(r.blob, dtype="<f4", count=count, offset=start).reshape(d, h, w)
     return r.make(20, FeatureMap, data)
 
 
@@ -361,8 +368,27 @@ def read_manifest(path) -> DatasetManifest:
 
 # -- bulk loaders -----------------------------------------------------------------
 
+class FeatureFiles(Mapping[str, FeatureMap]):
+    """The manifest's feature maps by image id, in manifest order.  Each lookup
+    reads and validates the file and keeps nothing, so a caller that visits
+    one image at a time holds one map however large the corpus."""
+
+    def __init__(self, manifest: DatasetManifest):
+        self._paths = {r.image_id: r.feature_path for r in manifest.records}
+
+    def __getitem__(self, image_id: str) -> FeatureMap:
+        return read_feature_map(self._paths[image_id])
+
+    def __iter__(self):
+        return iter(self._paths)
+
+    def __len__(self) -> int:
+        return len(self._paths)
+
+
 def load_features(manifest: DatasetManifest) -> dict[str, FeatureMap]:
-    return {r.image_id: read_feature_map(r.feature_path) for r in manifest.records}
+    """Every feature map of the manifest, read once and kept resident."""
+    return dict(FeatureFiles(manifest))
 
 
 def load_pseudo_labels(manifest: DatasetManifest) -> dict[str, LabelMap]:

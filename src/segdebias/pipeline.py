@@ -81,9 +81,16 @@ def debias_all(
     centroid_set: DebiasedCentroidSet,
     threshold: float,
 ) -> dict[str, LabelMap]:
+    """Every record's debiased label, in manifest order; the records are
+    visited one at a time, so a lazy `features` holds one map at a time."""
     return {
         r.image_id: debias_image(
-            r, features[r.image_id], pseudo_labels[r.image_id], centroid_set, threshold
+            r,
+            features[r.image_id],
+            pseudo_labels[r.image_id],
+            centroid_set,
+            threshold,
+            embedding_dim=manifest.embedding_dim,
         )
         for r in manifest.records
     }

@@ -149,11 +149,10 @@ def _require_finite(weights: np.ndarray, bias: np.ndarray) -> None:
 
 @dataclass(frozen=True, slots=True)
 class _Target:
-    """What one record contributes to every step: its map, its flat debiased
-    label and the class sets the teacher may use."""
+    """What one record contributes to every step besides its map: its flat
+    debiased label and the class sets the teacher may use."""
 
     image_id: str
-    fmap: FeatureMap
     labels: np.ndarray
     allowed: np.ndarray
     foreground: list[int]
@@ -164,7 +163,8 @@ def _targets(
     debiased_labels: Mapping[str, LabelMap],
     features: Mapping[str, FeatureMap],
 ) -> list[_Target]:
-    """Check every record once and precompute its per-step constants."""
+    """Check every record once and precompute its per-step constants.  No map
+    is kept: each step and each prediction looks its map up again."""
     targets = []
     for record in manifest.records:
         if record.image_id not in debiased_labels:
@@ -177,7 +177,6 @@ def _targets(
         targets.append(
             _Target(
                 image_id=record.image_id,
-                fmap=fmap,
                 labels=ydb.data.ravel(),
                 allowed=np.asarray([0] + foreground, dtype=np.int16),
                 foreground=foreground,
@@ -187,18 +186,24 @@ def _targets(
 
 
 def _predict(
-    weights: np.ndarray, bias: np.ndarray, targets: Sequence[_Target], num_classes: int
+    weights: np.ndarray,
+    bias: np.ndarray,
+    targets: Sequence[_Target],
+    features: Mapping[str, FeatureMap],
+    num_classes: int,
 ) -> dict[str, LabelMap]:
     predictions = {}
     for t in targets:
-        probs = _softmax(weights, bias, _flat64(t.fmap))
-        labels = _restricted_argmax(probs, t.allowed).reshape(t.fmap.spatial_shape)
+        fmap = features[t.image_id]
+        probs = _softmax(weights, bias, _flat64(fmap))
+        labels = _restricted_argmax(probs, t.allowed).reshape(fmap.spatial_shape)
         predictions[t.image_id] = LabelMap(labels, num_classes)
     return predictions
 
 
 def _step(
     t: _Target,
+    fmap: FeatureMap,
     student_w: np.ndarray,
     student_b: np.ndarray,
     teacher_w: np.ndarray,
@@ -211,7 +216,7 @@ def _step(
     gradient; the copy and every per-pixel temporary die when this returns,
     before the next map is cast.
     """
-    flat = _flat64(t.fmap)
+    flat = _flat64(fmap)
     sentinel = t.labels == -1
     if config.complement:
         teacher_probs = _softmax(teacher_w, teacher_b, flat)
@@ -244,6 +249,8 @@ def train(
     initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged,
     and the final predictions scored, unless ground truth is empty, and then
     it must cover every record; ids outside the manifest are ignored.
+    `features` is looked up again for every step and every scored image, so
+    given a `formats.FeatureFiles` the loop holds one map at a time.
     """
     targets = _targets(manifest, debiased_labels, features)
     records = manifest.records
@@ -265,7 +272,9 @@ def train(
         epoch_loss = 0.0
         for idx in order:
             t = targets[int(idx)]
-            loss, grad_w, grad_b = _step(t, student_w, student_b, teacher_w, teacher_b, config)
+            loss, grad_w, grad_b = _step(
+                t, features[t.image_id], student_w, student_b, teacher_w, teacher_b, config
+            )
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss {loss} at epoch {epoch}, image {t.image_id}"
@@ -279,7 +288,7 @@ def train(
             epoch_loss += loss
 
         if truth:
-            predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
+            predictions = _predict(teacher_w, teacher_b, targets, features, manifest.num_classes)
             report = evaluate_predictions(truth, predictions, manifest.num_classes)
             metrics.append(
                 EpochMetrics(epoch, epoch_loss, report.miou, report.fp_rate, report.fn_rate)
@@ -288,7 +297,7 @@ def train(
             metrics.append(EpochMetrics(epoch, epoch_loss))
 
     if predictions is None:  # no epoch was scored
-        predictions = _predict(teacher_w, teacher_b, targets, manifest.num_classes)
+        predictions = _predict(teacher_w, teacher_b, targets, features, manifest.num_classes)
         if truth:
             report = evaluate_predictions(truth, predictions, manifest.num_classes)
     return TrainResult(

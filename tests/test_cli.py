@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import shutil
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import segdebias
 from segdebias import formats
 from segdebias.cli import main
 from segdebias.core import DatasetManifest, LabelMap
@@ -416,6 +421,78 @@ def test_debias_centroid_length_mismatch_names_both_dims(corpus_dir, tmp_path, c
     first = manifest.records[0].image_id
     assert f"error: {first}: centroid vector length 11 != feature dim 12" in err
     assert list((tmp_path / "debiased").iterdir()) == []
+
+
+def test_debias_checks_the_manifest_embedding_dim(corpus_dir, tmp_path, capsys):
+    manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
+    wider = tmp_path / "manifest.jsonl"
+    formats.write_manifest(wider, replace(manifest, embedding_dim=manifest.embedding_dim + 1))
+    vector = np.ones(manifest.embedding_dim) / np.sqrt(manifest.embedding_dim)
+    cset = DebiasedCentroidSet({1: vector, 2: vector}, alpha=0.4, selected_counts={1: 1, 2: 1})
+    formats.write_centroid_set(tmp_path / "centroids.json", cset)
+    assert main(["debias", "--manifest", str(wider), "--centroids",
+                 str(tmp_path / "centroids.json"), "--out", str(tmp_path / "debiased")]) == 1
+    first = manifest.records[0].image_id
+    assert f"error: {first}: feature dim 12 != manifest embedding_dim 13" in capsys.readouterr().err
+    assert list((tmp_path / "debiased").iterdir()) == []
+
+
+# Runs argv[1:] with stdout closed and prints its exit code and ru_maxrss (KiB).
+# A child's ru_maxrss starts at the resident size of the process that spawns
+# it, so each command is spawned from this small launcher, not from the tests.
+_PEAK_RSS = """
+import os, sys
+devnull = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ, file_actions=devnull)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_cluster_and_train_hold_one_feature_map_at_a_time(tmp_path):
+    """The peak RSS of `cluster` and `train`, above that of `segdebias --help`,
+    stays under half the corpus's feature bytes: both read one map at a time,
+    so what they hold does not grow with the corpus."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(os.path.dirname(os.path.dirname(segdebias.__file__))),
+                      env.get("PYTHONPATH")])
+    )
+
+    def peak_rss_bytes(*args):
+        command = [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "segdebias", *args]
+        code, peak_kib = subprocess.run(
+            command, env=env, check=True, capture_output=True, text=True
+        ).stdout.split()
+        assert code == "0", args
+        return int(peak_kib) * 1024
+
+    # 24 maps of 64x64 at D=128 are 48 MiB; one map is 2 MiB
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"num_images": 24, "image_size": [64, 64],
+                                  "embedding_dim": 128, "seed": 3}))
+    corpus = tmp_path / "corpus"
+    peak_rss_bytes("synth", "--out", str(corpus), "--config", str(config))
+    manifest = formats.read_manifest(corpus / "manifest.jsonl")
+    feature_bytes = sum(r.feature_path.stat().st_size for r in manifest.records)
+    debiased = tmp_path / "debiased"  # the pseudo labels stand in for debiased ones
+    debiased.mkdir()
+    for r in manifest.records:
+        shutil.copy(r.label_path, debiased / f"{r.image_id}.bin")
+
+    baseline = peak_rss_bytes("--help")
+    cluster = peak_rss_bytes("cluster", "--manifest", str(corpus / "manifest.jsonl"),
+                             "--out", str(tmp_path / "bank.bin"))
+    train_peak = peak_rss_bytes("train", "--manifest", str(corpus / "manifest.jsonl"),
+                                "--debiased", str(debiased), "--epochs", "1",
+                                "--out", str(tmp_path / "head.bin"),
+                                "--log", str(tmp_path / "log.csv"))
+    mib = 2**20
+    for name, peak in (("cluster", cluster), ("train", train_peak)):
+        assert peak - baseline < feature_bytes / 2, (
+            f"{name}: {(peak - baseline) / mib:.1f} MiB above --help for "
+            f"{feature_bytes / mib:.1f} MiB of feature maps"
+        )
 
 
 def test_cluster_label_shape_mismatch_names_the_image(corpus_dir, tmp_path, capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segdebias.core import DatasetManifest, FeatureMap, ImageRecord, LabelMap, unit_rows
@@ -89,6 +89,38 @@ def test_cosine_similarity_symmetric(v):
     assert cosine(v, w) == pytest.approx(cosine(w, v), abs=1e-15)
 
 
+# zeros of both signs, the smallest float32 subnormal, near-overflow magnitudes
+FLOAT32_EDGES = [float(np.float32(v)) for v in (0.0, -0.0, 1e-45, -1e-45, 3e38, -3e38, 1.0)]
+
+
+@st.composite
+def edge_feature_maps(draw):
+    """Small float32 (D, H, W) maps built from the edge values and any finite
+    float32; half of them also carry one NaN or infinity."""
+    d, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.one_of(
+        st.sampled_from(FLOAT32_EDGES),
+        st.floats(width=32, allow_nan=False, allow_infinity=False),
+    )
+    data = np.array(draw(st.lists(values, min_size=d * h * w, max_size=d * h * w)))
+    data = data.astype(np.float32).reshape(d, h, w)
+    if draw(st.booleans()):
+        data.flat[draw(st.integers(0, data.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+    return data
+
+
+def float64_norm_rule(data):
+    """The message of the earlier check, which took each pixel's norm in
+    float64, or None if it accepted the map."""
+    if not np.isfinite(data).all():
+        return "feature map contains non-finite values"
+    if np.any(np.linalg.norm(data.astype(np.float64), axis=0) == 0.0):
+        return "degenerate vector: zero-norm pixel embedding"
+    return None
+
+
 class TestFeatureMap:
     def test_pixel_vector_layout(self):
         # the training loop's (D, H*W) cast: column y * W + x is pixel (y, x)
@@ -118,6 +150,23 @@ class TestFeatureMap:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             FeatureMap(np.ones((2, 2), dtype=np.float32))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_feature_maps())
+    @example(np.array([[[-0.0]], [[0.0]]], dtype=np.float32))
+    @example(np.array([[[1e-45]], [[-0.0]]], dtype=np.float32))
+    @example(np.array([[[3e38, 0.0]], [[0.0, -3e38]]], dtype=np.float32))
+    def test_rejects_what_the_float64_norm_rule_rejects(self, data):
+        """A pixel has a zero float64 norm exactly when its entries are all
+        ±0, also at the float32 extremes; FeatureMap checks the latter and
+        must accept and reject as the norm did, with the same message."""
+        expected = float64_norm_rule(data)
+        try:
+            FeatureMap(data)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
     def test_data_is_read_only(self):
         fmap = FeatureMap(np.ones((1, 1, 1), dtype=np.float32))

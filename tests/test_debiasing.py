@@ -39,7 +39,9 @@ def debias_with_similarity(sim, pseudo, threshold):
     fmap = FeatureMap(np.ones((1, *sim.shape), dtype=np.float32))
     truth = record(range(1, pseudo.num_classes + 1))
     with mock.patch.object(debiasing, "_similarity", lambda *args: sim):
-        return debias_image(truth, fmap, pseudo, centroid_set({1: [1.0]}), threshold)
+        return debias_image(
+            truth, fmap, pseudo, centroid_set({1: [1.0]}), threshold, embedding_dim=1
+        )
 
 
 def foreground(shape):
@@ -49,7 +51,9 @@ def foreground(shape):
 def test_centroid_length_must_match_feature_dim():
     fmap = FeatureMap(np.ones((3, 2, 2), dtype=np.float32))
     with pytest.raises(ValueError, match="img: centroid vector length 2 != feature dim 3"):
-        debias_image(record({1}), fmap, foreground((2, 2)), centroid_set({1: [1.0, 0.0]}), 0.3)
+        debias_image(
+            record({1}), fmap, foreground((2, 2)), centroid_set({1: [1.0, 0.0]}), 0.3, embedding_dim=3
+        )
 
 
 def test_label_class_outside_truth_set_rejected():
@@ -58,7 +62,7 @@ def test_label_class_outside_truth_set_rejected():
     pseudo = LabelMap(np.array([[1, 2], [0, 0]], dtype=np.int16), 2)
     cset = centroid_set({1: rng.normal(size=3), 2: rng.normal(size=3)})
     with pytest.raises(ValueError, match=r"img: label classes \[2\] outside truth set"):
-        debias_image(record({1}), fmap, pseudo, cset, 0.3)
+        debias_image(record({1}), fmap, pseudo, cset, 0.3, embedding_dim=3)
 
 
 class TestSimilarityMap:
@@ -94,7 +98,7 @@ class TestSimilarityMap:
         cset = centroid_set({1: rng.normal(size=3)})
         pseudo = LabelMap(np.array([[1, 2], [0, 0]], dtype=np.int16), 2)
         with caplog.at_level(logging.WARNING):
-            debiased = debias_image(record({1, 2}), fmap, pseudo, cset, 0.3)
+            debiased = debias_image(record({1, 2}), fmap, pseudo, cset, 0.3, embedding_dim=3)
         assert "img: no debiased centroid for classes [2]; skipping them" in caplog.text
         keep = _similarity(fmap, cset, [1]) >= 0.3
         expected = np.where((pseudo.data > 0) & ~keep, -1, pseudo.data)
@@ -107,7 +111,7 @@ class TestSimilarityMap:
         pseudo = LabelMap(np.zeros((2, 2), dtype=np.int16), 3)
         message = "img: no usable centroids: none for truth classes [2, 3]"
         with pytest.raises(ValueError, match=re.escape(message)):
-            debias_image(record({2, 3}), fmap, pseudo, cset, 0.3)
+            debias_image(record({2, 3}), fmap, pseudo, cset, 0.3, embedding_dim=3)
 
 
 class TestBinarize:
@@ -151,8 +155,9 @@ class TestDebiasLabel:
         rng = np.random.default_rng(2)
         fmap = random_feature_map(rng, 3, 3, 2)
         pseudo = LabelMap(np.zeros((2, 2), dtype=np.int16), 1)
+        cset = centroid_set({1: rng.normal(size=3)})
         with pytest.raises(ValueError, match="shape"):
-            debias_image(record({1}), fmap, pseudo, centroid_set({1: rng.normal(size=3)}), 0.3)
+            debias_image(record({1}), fmap, pseudo, cset, 0.3, embedding_dim=3)
 
     def test_rejects_existing_sentinel(self):
         pseudo = LabelMap(np.array([[-1]], dtype=np.int16), 1)
@@ -177,7 +182,7 @@ class TestDebiasLabel:
         cset = centroid_set({1: rng.normal(size=4), 2: rng.normal(size=4)})
         previous = None
         for threshold in (0.0, 0.25, 0.5, 0.75, 1.0):
-            out = debias_image(record({1, 2}), fmap, pseudo, cset, threshold)
+            out = debias_image(record({1, 2}), fmap, pseudo, cset, threshold, embedding_dim=4)
             current = set(map(tuple, np.argwhere(out.data == -1)))
             if previous is not None:
                 assert previous <= current

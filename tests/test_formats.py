@@ -1,5 +1,8 @@
 import json
+import re
 import struct
+import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from segdebias import formats
-from segdebias.bank import Centroid, CentroidBank
+from segdebias import trainloop as tl
+from segdebias.bank import Centroid, CentroidBank, build_centroid_bank
 from segdebias.core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
-from segdebias.selection import DebiasedCentroidSet
-from segdebias.trainloop import SegHead
+from segdebias.pipeline import debias_all
+from segdebias.selection import DebiasedCentroidSet, select_debiased
+from segdebias.trainloop import SegHead, TrainConfig, train
 
 
 def random_unit(rng, d):
@@ -370,3 +375,98 @@ def test_malformed_manifest_names_the_file_and_line(tmp_path, lines, where, mess
         formats.read_manifest(path)
     prefix = f"{path}: {where}: " if where else f"{path}: "
     assert str(err.value).startswith(prefix) and message in str(err.value), str(err.value)
+
+
+class TestFeatureFiles:
+    """The lazy mapping `segdebias cluster` and `train` read maps through."""
+
+    EPOCHS = 2
+
+    def stages(self, manifest, features, pseudo, ground_truth):
+        """The bank, then the training result, both computed from `features`."""
+        bank = build_centroid_bank(manifest, pseudo, 2, 2, 0, features)
+        debiased = debias_all(
+            manifest, formats.load_features(manifest), pseudo, select_debiased(bank, 0.4), 0.3
+        )
+        config = TrainConfig(epochs=self.EPOCHS, seed=0)
+        result = train(manifest, debiased, config, features=features, ground_truth=ground_truth)
+        return bank, result
+
+    def test_same_results_as_the_resident_maps(self, tiny_corpus, tmp_path):
+        manifest = tiny_corpus.manifest
+        pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
+        lazy = formats.FeatureFiles(manifest)
+        assert list(lazy) == [r.image_id for r in manifest.records]
+        bank, result = self.stages(manifest, lazy, pseudo, truth)
+        bank_ref, result_ref = self.stages(manifest, formats.load_features(manifest), pseudo, truth)
+        formats.write_centroid_bank(tmp_path / "lazy.bin", bank)
+        formats.write_centroid_bank(tmp_path / "resident.bin", bank_ref)
+        assert (tmp_path / "lazy.bin").read_bytes() == (tmp_path / "resident.bin").read_bytes()
+        assert result.teacher.weights.tobytes() == result_ref.teacher.weights.tobytes()
+        assert result.teacher.bias.tobytes() == result_ref.teacher.bias.tobytes()
+        assert result.metrics == result_ref.metrics
+        assert result.report == result_ref.report
+        assert result.predictions.keys() == result_ref.predictions.keys()
+        for image_id, label in result.predictions.items():
+            assert np.array_equal(label.data, result_ref.predictions[image_id].data)
+
+    def test_at_most_two_maps_alive(self, tiny_corpus, monkeypatch):
+        """Each stage reads every map it needs and never holds more than the
+        map in hand and the one before it."""
+        manifest = tiny_corpus.manifest
+        read = formats.read_feature_map
+        maps, most = [], [0]
+
+        def tracked(path):
+            fmap = read(path)
+            maps.append(weakref.ref(fmap))
+            most[0] = max(most[0], sum(ref() is not None for ref in maps))
+            return fmap
+
+        def reads_and_most_alive(stage):
+            maps.clear()
+            most[0] = 0
+            result = stage()
+            return result, len(maps), most[0]
+
+        monkeypatch.setattr(formats, "read_feature_map", tracked)
+        lazy = formats.FeatureFiles(manifest)
+        pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
+        n = len(manifest.records)
+
+        bank, reads, alive = reads_and_most_alive(
+            lambda: build_centroid_bank(manifest, pseudo, 2, 2, 0, lazy)
+        )
+        assert reads == n and alive <= 2
+        cset = select_debiased(bank, 0.4)
+        debiased, reads, alive = reads_and_most_alive(
+            lambda: debias_all(manifest, lazy, pseudo, cset, 0.3)
+        )
+        assert reads == n and alive <= 2
+        config = TrainConfig(epochs=self.EPOCHS, seed=0)
+        _, reads, alive = reads_and_most_alive(
+            lambda: train(manifest, debiased, config, features=lazy, ground_truth=truth)
+        )
+        # the up-front check, then each epoch's steps and its scoring
+        assert reads == (2 * self.EPOCHS + 1) * n and alive <= 2
+
+    def test_train_validates_every_lookup(self, tiny_corpus, tmp_path, monkeypatch):
+        manifest = tiny_corpus.manifest
+        copy = tmp_path / "copy.features.bin"
+        copy.write_bytes(manifest.records[2].feature_path.read_bytes())
+        records = list(manifest.records)
+        records[2] = replace(records[2], feature_path=copy)
+        manifest = replace(manifest, records=tuple(records))
+        pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
+        evaluate = tl.evaluate_predictions
+
+        def corrupt_after_scoring(*args):
+            blob = bytearray(copy.read_bytes())
+            blob[20:24] = struct.pack("<f", float("nan"))
+            copy.write_bytes(bytes(blob))
+            return evaluate(*args)
+
+        monkeypatch.setattr(tl, "evaluate_predictions", corrupt_after_scoring)
+        message = f"{copy}: feature map contains non-finite values (byte offset 20)"
+        with pytest.raises(formats.FormatError, match=re.escape(message)):
+            self.stages(manifest, formats.FeatureFiles(manifest), pseudo, truth)

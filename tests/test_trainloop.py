@@ -61,7 +61,7 @@ def loss_inputs(monkeypatch, grid, truth, teacher_bias, config=TrainConfig()):
     monkeypatch.setattr(tl, "_wce", spy)
     weights = np.zeros((num_classes + 1, 3))
     bias = np.asarray(teacher_bias, dtype=np.float64)
-    tl._step(target, weights, bias, weights, bias, config)
+    tl._step(target, fmap, weights, bias, weights, bias, config)
     return seen["labels"], seen["weights"]
 
 

@@ -23,7 +23,12 @@ def main() -> None:
     args = parser.parse_args()
 
     config = replace(SynthConfig.standard(), seed=args.corpus_seed)
-    corpus = generate(config, tempfile.mkdtemp(prefix="segdebias_ablation_"))
+    with tempfile.TemporaryDirectory(prefix="segdebias_ablation_") as corpus_dir:
+        ablate(args, generate(config, corpus_dir))
+
+
+def ablate(args, corpus) -> None:
+    """Print the three rows and the stage diagnostics for one generated corpus."""
     features = corpus.features()
     labels = corpus.pseudo_labels()
     gts = corpus.ground_truth()

@@ -36,9 +36,15 @@ def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
     k = num_classes + 1
     if gt.num_classes > num_classes or pred.num_classes > num_classes:
         raise ValueError("label num_classes exceeds confusion matrix size")
-    valid = gt.data != -1
-    flat = gt.data[valid].astype(np.int64) * k + pred.data[valid].astype(np.int64)
-    return np.bincount(flat, minlength=k * k).reshape(k, k)
+    return _pair_counts(gt.data, pred.data, k).reshape(k, k)
+
+
+def _pair_counts(gt: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
+    """The flat (k*k,) count of gt/pred value pairs over the pixels where gt != -1;
+    the one counting kernel behind every score."""
+    valid = gt != -1
+    codes = gt[valid].astype(np.int64) * k + pred[valid].astype(np.int64)
+    return np.bincount(codes, minlength=k * k)
 
 
 @dataclass(frozen=True)

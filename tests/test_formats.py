@@ -458,15 +458,16 @@ class TestFeatureFiles:
         records[2] = replace(records[2], feature_path=copy)
         manifest = replace(manifest, records=tuple(records))
         pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
-        evaluate = tl.evaluate_predictions
+        score = tl._teacher_pass
 
-        def corrupt_after_scoring(*args):
+        def corrupt_after_scoring(*args, **kwargs):
+            result = score(*args, **kwargs)
             blob = bytearray(copy.read_bytes())
             blob[20:24] = struct.pack("<f", float("nan"))
             copy.write_bytes(bytes(blob))
-            return evaluate(*args)
+            return result
 
-        monkeypatch.setattr(tl, "evaluate_predictions", corrupt_after_scoring)
+        monkeypatch.setattr(tl, "_teacher_pass", corrupt_after_scoring)
         message = f"{copy}: feature map contains non-finite values (byte offset 20)"
         with pytest.raises(formats.FormatError, match=re.escape(message)):
             self.stages(manifest, formats.FeatureFiles(manifest), pseudo, truth)

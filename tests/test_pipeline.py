@@ -79,9 +79,9 @@ def test_unshared_ground_truth_fails_before_clustering(
 
 
 def test_the_chain_scores_each_epoch_once(standard_corpus):
-    """train's last epoch score is the report: no image is tallied a third time."""
+    """train's last epoch score is the report: no image is counted a third time."""
     params = PipelineParams(epochs=2)
-    with mock.patch.object(evaluation, "_tally", wraps=evaluation._tally) as tally:
+    with mock.patch.object(evaluation, "_pair_counts", wraps=evaluation._pair_counts) as tally:
         result = run_pipeline(
             standard_corpus.manifest,
             standard_corpus.features(),

@@ -11,7 +11,6 @@ from segdebias.evaluation import _report, _tally, evaluate_predictions
 from segdebias.trainloop import (
     SegHead,
     TrainConfig,
-    _certainty,
     _flat64,
     _gradient,
     _restricted_argmax,
@@ -51,7 +50,7 @@ def loss_inputs(monkeypatch, grid, truth, teacher_bias, config=TrainConfig()):
     num_classes = len(teacher_bias) - 1
     record = ImageRecord("img", "img.f", "img.l", frozenset(truth))
     manifest = DatasetManifest((record,), num_classes=num_classes, embedding_dim=3)
-    (target,) = tl._targets(manifest, {"img": LabelMap(grid, num_classes)}, {"img": fmap})
+    (target,) = tl._targets(manifest, {"img": LabelMap(grid, num_classes)}, {"img": fmap}, {})
     seen = {}
 
     def spy(probs, labels, weights):
@@ -114,22 +113,26 @@ class TestTeacherLabel:
 
 
 class TestCertaintyMask:
-    def test_decided_pixels_are_one(self):
-        assert _certainty(np.array([False]), np.full((4, 1), 0.25), [1, 3])[0] == 1.0
+    """The per-pixel weights one step feeds the loss, from a teacher whose bias
+    alone sets every pixel's probabilities."""
 
-    def test_sentinel_takes_max_truth_probability(self):
-        probs = column([0.5, 0.3, 0.15, 0.05])
-        assert _certainty(np.array([True]), probs, [1, 3]) == pytest.approx([0.3])
+    def test_decided_pixels_are_one(self, monkeypatch):
+        _, weights = loss_inputs(monkeypatch, [[-1, 1, 0]], {1, 3}, [0, 0, 0, 0])
+        assert weights.tolist() == [[pytest.approx(0.25), 1.0, 1.0]]
 
-    def test_uniform_probs(self):
-        probs = np.full((5, 1), 0.2)
-        assert _certainty(np.array([True]), probs, [1, 2, 3, 4])[0] == pytest.approx(0.2)
+    def test_sentinel_takes_max_truth_probability(self, monkeypatch):
+        bias = np.log([0.5, 0.3, 0.15, 0.05])
+        _, weights = loss_inputs(monkeypatch, [[-1]], {1, 3}, bias)
+        assert weights[0, 0] == pytest.approx(0.3)
 
-    def test_all_ones_when_no_sentinel(self):
-        rng = np.random.default_rng(6)
-        probs = rng.random((3, 16))
-        probs /= probs.sum(axis=0, keepdims=True)
-        assert np.all(_certainty(np.zeros(16, dtype=bool), probs, [1, 2]) == 1.0)
+    def test_uniform_probs(self, monkeypatch):
+        _, weights = loss_inputs(monkeypatch, [[-1, -1]], {1, 2, 3, 4}, [0] * 5)
+        assert weights.tolist() == [[pytest.approx(0.2), pytest.approx(0.2)]]
+
+    def test_all_ones_when_no_sentinel(self, monkeypatch):
+        grid = np.random.default_rng(6).integers(0, 3, (4, 4))
+        _, weights = loss_inputs(monkeypatch, grid, {1, 2}, [0, 2.0, -1.0])
+        assert np.all(weights == 1.0)
 
 
 class TestComplement:
@@ -385,6 +388,55 @@ class TestTrain:
         with pytest.raises(ValueError, match=r"img: label shape \(4, 5\) != feature shape"):
             train(manifest, wide, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
+    @pytest.mark.parametrize(
+        "truth, message",
+        [
+            (
+                LabelMap(np.zeros((4, 5), dtype=np.int16), 2),
+                r"img: ground truth shape \(4, 5\) != feature shape \(4, 4\)",
+            ),
+            (
+                LabelMap(np.full((4, 4), 3, dtype=np.int16), 3),
+                "img: ground truth num_classes 3 exceeds manifest num_classes 2",
+            ),
+        ],
+    )
+    def test_ground_truth_rejected_before_first_step(self, tmp_path, monkeypatch, truth, message):
+        manifest, features, debiased, _ = single_image(tmp_path)
+
+        def no_step(*args):
+            raise AssertionError("a step ran before the ground truth check")
+
+        monkeypatch.setattr(tl, "_step", no_step)
+        with pytest.raises(ValueError, match=message):
+            train(
+                manifest, debiased, TrainConfig(epochs=1), features=features,
+                ground_truth={"img": truth},
+            )
+
+    def test_a_step_runs_the_checked_kernels(self, monkeypatch):
+        """Criterion 4 checks `_softmax`, `_gradient` and `_wce`; a complement
+        step must run the normalisation inside `_softmax` and the other two."""
+        calls = []
+        for name in ("_normalize", "_gradient", "_wce"):
+            kernel = getattr(tl, name)
+
+            def spy(*args, kernel=kernel, name=name):
+                calls.append(name)
+                return kernel(*args)
+
+            monkeypatch.setattr(tl, name, spy)
+        manifest, features, debiased, _ = _random_training_set(16, 1, 8, 5, 7, 3)
+        target = tl._targets(manifest, debiased, features, {})[-1]  # one -1 pixel
+        assert target.sentinel.size == 1
+        rng = np.random.default_rng(17)
+        w, b = rng.normal(size=(4, 8)), rng.normal(size=4)
+        config = TrainConfig(complement=True, certainty_weighting=True)
+        loss, grad_w, grad_b = tl._step(target, features[target.image_id], w, b, w, b, config)
+        assert sorted(set(calls)) == ["_gradient", "_normalize", "_wce"]
+        assert calls.count("_normalize") == 2  # the teacher's columns and the student's
+        assert np.isfinite(loss) and grad_w.shape == w.shape and grad_b.shape == b.shape
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
@@ -506,15 +558,23 @@ def reference_train(manifest, debiased_labels, config, *, features, ground_truth
 
 
 def _random_training_set(seed, num_images, d, h, w, num_classes):
+    """`num_images` images with about 30% of their foreground pixels -1, then
+    three more with no -1 pixel, with every pixel -1 and with exactly one."""
     rng = np.random.default_rng(seed)
     records, features, debiased, gts = [], {}, {}, {}
-    for i in range(num_images):
+    for i, kind in enumerate(["random"] * num_images + ["none", "all", "one"]):
         image_id = f"img_{i}"
         size = int(rng.integers(1, num_classes + 1))
         truth = rng.choice(np.arange(1, num_classes + 1), size=size, replace=False)
         grid = rng.choice(np.concatenate(([0], truth)), size=(h, w)).astype(np.int16)
         gts[image_id] = LabelMap(grid, num_classes)
-        grid = np.where((grid > 0) & (rng.random((h, w)) < 0.3), -1, grid).astype(np.int16)
+        sentinel = {
+            "random": lambda: (grid > 0) & (rng.random((h, w)) < 0.3),
+            "none": lambda: np.zeros((h, w), dtype=bool),
+            "all": lambda: np.ones((h, w), dtype=bool),
+            "one": lambda: np.arange(h * w).reshape(h, w) == rng.integers(h * w),
+        }[kind]()
+        grid = np.where(sentinel, -1, grid).astype(np.int16)
         debiased[image_id] = LabelMap(grid, num_classes)
         features[image_id] = random_feature_map(rng, d, h, w)
         paths = (f"{image_id}.features.bin", f"{image_id}.labels.bin")
@@ -525,7 +585,10 @@ def _random_training_set(seed, num_images, d, h, w, num_classes):
 
 @given(
     seed=st.integers(0, 10_000),
-    shape=st.sampled_from([(4, 8, 5, 7, 3), (3, 64, 16, 12, 4)]),
+    # the last shape puts C+1 = 5 head rows over D=128 and 99 pixels, off the
+    # multiples of 4 that BLAS kernels block by; at this shape one product of
+    # the teacher's and the student's stacked rows rounds differently
+    shape=st.sampled_from([(4, 8, 5, 7, 3), (3, 64, 16, 12, 4), (3, 128, 9, 11, 4)]),
     complement=st.booleans(),
     certainty=st.booleans(),
     with_gt=st.booleans(),

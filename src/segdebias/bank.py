@@ -2,10 +2,11 @@
 
 Clustering runs in the same cosine geometry the downstream scoring uses:
 inputs are unit vectors, assignment is by maximum cosine similarity, and
-each centroid is the L2-normalized mean of its members.  Seeding is
-k-means++ on squared cosine distance, driven by a per-(image, class) seed
-derived from a stable hash so bank contents are independent of manifest
-order and scheduling.
+each centroid is the L2-normalized mean of its members: the normalized sum,
+all of a region's sums taken as one product of its 0/1 membership matrix
+with its rows (Dhillon & Modha, 2001).  Seeding is k-means++ on squared
+cosine distance, driven by a per-(image, class) seed derived from a stable
+hash so bank contents are independent of manifest order and scheduling.
 """
 
 from __future__ import annotations
@@ -79,16 +80,20 @@ class CentroidBank:
 
 @dataclass(frozen=True)
 class KMeansResult:
-    """Final centroids with member counts, assignments, and the objective trace."""
+    """Final centroids with member counts, assignments, and the objective trace:
+    the total within-cluster cosine distance after each Lloyd assignment, then
+    that of the returned centroids, so len(objective_trace) - 1 is the number
+    of Lloyd iterations."""
 
     centroids: np.ndarray  # (m, D) unit rows
     counts: np.ndarray  # (m,)
     assignments: np.ndarray  # (n,)
-    objective_trace: tuple[float, ...]  # total within-cluster cosine distance
+    objective_trace: tuple[float, ...]
 
 
 def decompose_class_vectors(fmap: FeatureMap, labels: LabelMap, class_id: int) -> np.ndarray:
-    """Unit-normalized pixel vectors of the class region, row-major order."""
+    """Unit-normalized pixel vectors of the class region, row-major order, as
+    a C-ordered (n, D) float64 array."""
     if labels.spatial_shape != fmap.spatial_shape:
         raise ValueError(
             f"label shape {labels.spatial_shape} != feature shape {fmap.spatial_shape}"
@@ -109,14 +114,15 @@ def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
     (coincident points), which lets duplicate inputs collapse to one cluster."""
     n = vectors.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = _distance_to(vectors, vectors[chosen[0]]) ** 2
+    d2: Optional[np.ndarray] = None
     while len(chosen) < k:
+        # distances to the newest seed, taken only when another seed is drawn
+        latest = _distance_to(vectors, vectors[chosen[-1]]) ** 2
+        d2 = latest if d2 is None else np.minimum(d2, latest)
         total = float(d2.sum())
         if total <= 0.0:
             break
-        nxt = int(rng.choice(n, p=d2 / total))
-        chosen.append(nxt)
-        d2 = np.minimum(d2, _distance_to(vectors, vectors[nxt]) ** 2)
+        chosen.append(int(rng.choice(n, p=d2 / total)))
     return vectors[chosen].copy()
 
 
@@ -126,12 +132,18 @@ def _normalized_means(
     """Normalized per-cluster means; a cancelled (zero-sum) cluster falls back
     to its first member so the result stays on the sphere."""
     counts = np.bincount(assign, minlength=m).astype(np.int64)
-    sums = np.zeros((m, vectors.shape[1]), dtype=np.float64)
-    for j in np.flatnonzero(counts):
-        # The masked copy is C-contiguous whatever the layout of `vectors`, so
-        # the axis-0 sum adds rows in order: bit-identical to np.add.at, which
-        # is several times slower.  A one-hot matrix product is not identical.
-        sums[j] = vectors[assign == j].sum(axis=0)
+    # Every cluster's sum in one product of the (m, n) 0/1 membership matrix
+    # with the rows, in place of one masked copy per cluster.  BLAS does not
+    # promise to add the rows in order.  OpenBLAS 0.3.31 on AVX-512 matches
+    # the row-by-row sum on C-ordered rows while m*n*D <= 100**3 (its
+    # small-matrix kernel: two clusters of up to 3906 rows at D=128); past
+    # that, or on F-ordered rows, the sums can differ in the last bits.
+    # numpy hands a one-row product to gemv, which adds in another order, so
+    # one cluster sums its rows directly.
+    if m == 1:
+        sums = vectors.sum(axis=0, keepdims=True)
+    else:
+        sums = (np.arange(m)[:, None] == assign).astype(np.float64) @ vectors
     norms = np.linalg.norm(sums, axis=1)
     means = np.zeros_like(sums)
     for j in range(m):
@@ -164,7 +176,7 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
             assignments=np.zeros(0, dtype=np.int64),
             objective_trace=(),
         )
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", vectors, vectors))
     if np.any(np.abs(norms - 1.0) > 1e-6):
         raise ValueError("kmeans_spherical expects unit-norm input vectors")
 
@@ -172,12 +184,14 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
     centroids = _kmeanspp_init(vectors, min(k, n), rng)
     trace: list[float] = []
     prev_assign: Optional[np.ndarray] = None
+    at_fixpoint = False
 
     for _ in range(MAX_LLOYD_ITERATIONS):
         sims = np.clip(vectors @ centroids.T, -1.0, 1.0)
         assign = np.argmax(sims, axis=1)
         trace.append(float(np.sum((1.0 - sims[np.arange(n), assign]) / 2.0)))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
+            at_fixpoint = True
             break
         prev_assign = assign
 
@@ -200,26 +214,30 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
             prev_assign = None  # structure changed, fixpoint must be re-established
         centroids = means
 
-    # Consistency pass: make the returned triple coherent even if the loop
-    # stopped at the iteration cap mid-restructure.  At a fixpoint this
-    # recomputes identical values.
-    sims = np.clip(vectors @ centroids.T, -1.0, 1.0)
-    assign = np.argmax(sims, axis=1)
-    counts = np.bincount(assign, minlength=len(centroids)).astype(np.int64)
-    if not (counts > 0).all():
-        retained = np.flatnonzero(counts > 0)
-        remap = np.full(len(centroids), -1, dtype=np.int64)
-        remap[retained] = np.arange(len(retained))
-        assign = remap[assign]
-        centroids = centroids[retained]
-    centroids, counts = _normalized_means(vectors, assign, len(centroids))
-    trace.append(
-        float(
-            np.sum(
-                (1.0 - np.clip((vectors * centroids[assign]).sum(axis=1), -1.0, 1.0)) / 2.0
+    if at_fixpoint:
+        # `centroids` and `counts` already are the means and member counts of
+        # `assign`, and the fixpoint step's objective is theirs
+        trace.append(trace[-1])
+    else:
+        # Consistency pass: make the returned triple coherent when the loop
+        # stopped at the iteration cap, possibly mid-restructure.
+        sims = np.clip(vectors @ centroids.T, -1.0, 1.0)
+        assign = np.argmax(sims, axis=1)
+        counts = np.bincount(assign, minlength=len(centroids)).astype(np.int64)
+        if not (counts > 0).all():
+            retained = np.flatnonzero(counts > 0)
+            remap = np.full(len(centroids), -1, dtype=np.int64)
+            remap[retained] = np.arange(len(retained))
+            assign = remap[assign]
+            centroids = centroids[retained]
+        centroids, counts = _normalized_means(vectors, assign, len(centroids))
+        trace.append(
+            float(
+                np.sum(
+                    (1.0 - np.clip((vectors * centroids[assign]).sum(axis=1), -1.0, 1.0)) / 2.0
+                )
             )
         )
-    )
     return KMeansResult(
         centroids=centroids,
         counts=counts,
@@ -250,7 +268,8 @@ def build_centroid_bank(
     co-occurring impostor cluster.  Images lacking a region contribute no
     centroids for it.  Records are visited in image-id order, so each
     collection is sorted by (image_id, cluster_index) whatever the manifest
-    order: the bank `segdebias cluster` writes.
+    order: the bank `segdebias cluster` writes.  A lazy `features` holds one
+    map at a time.
     """
     foreground: dict[int, list[Centroid]] = {}
     background: list[Centroid] = []
@@ -277,6 +296,8 @@ def build_centroid_bank(
                         member_count=int(result.counts[j]),
                     )
                 )
+            del vectors, result  # one region resident at a time
+        del fmap  # one map resident at a time: free it before the next is read
     return CentroidBank(
         foreground={c: tuple(v) for c, v in foreground.items()},
         background=tuple(background),

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -24,21 +25,10 @@ def unit_cloud(rng, center, n, spread=0.05):
     return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
-def _add_at_normalized_means(vectors, assign, m):
-    """Reference for bank._normalized_means: the per-cluster sums by np.add.at."""
-    counts = np.bincount(assign, minlength=m).astype(np.int64)
-    sums = np.zeros((m, vectors.shape[1]), dtype=np.float64)
-    np.add.at(sums, assign, vectors)
-    norms = np.linalg.norm(sums, axis=1)
-    means = np.zeros_like(sums)
-    for j in range(m):
-        if counts[j] == 0:
-            continue
-        if norms[j] > 0.0:
-            means[j] = sums[j] / norms[j]
-        else:
-            means[j] = vectors[int(np.argmax(assign == j))]
-    return means, counts
+def _exact_normalized_sum(members):
+    """The members' column sums, each correctly rounded by math.fsum, normalized."""
+    sums = np.array([math.fsum(column) for column in members.T])
+    return sums / math.sqrt(math.fsum(sums * sums))
 
 
 class TestDecompose:
@@ -72,6 +62,18 @@ class TestDecompose:
         label = LabelMap(np.zeros((3, 2), dtype=np.int16), 1)
         with pytest.raises(ValueError, match="shape"):
             decompose_class_vectors(fmap, label, 0)
+
+    def test_rows_are_c_ordered(self):
+        # the cluster sums match the row-by-row sum on C-ordered rows of region
+        # size, which keeps the bank byte-identical; pin that layout
+        rng = np.random.default_rng(3)
+        fmap = random_feature_map(rng, 128, 40, 40)
+        label = LabelMap((rng.random((40, 40)) < 0.8).astype(np.int16), 1)
+        vectors = decompose_class_vectors(fmap, label, 1)
+        n = int((label.data == 1).sum())
+        assert vectors.shape == (n, 128) and vectors.dtype == np.float64
+        assert vectors.flags.c_contiguous and vectors.flags.owndata
+        assert vectors.strides == (128 * 8, 8)
 
 
 class TestKMeans:
@@ -144,24 +146,51 @@ class TestKMeans:
         st.sampled_from([0.0, 0.3, 3.0]),
         st.booleans(),
     )
-    @example(seed=0, k=2, n=4096, spread=3.0, fortran=True)
+    @example(seed=0, m=2, n=4096, spread=3.0, fortran=True)
+    @example(seed=0, m=2, n=4096, spread=3.0, fortran=False)
     @settings(max_examples=30, deadline=None)
-    def test_bit_identical_to_add_at_reference(self, seed, k, n, spread, fortran):
-        # n=4096 at D=128 is a size where summing by a one-hot matrix product
-        # already differs from np.add.at in the last bits
+    def test_normalized_means_match_exact_sums(self, seed, m, n, spread, fortran):
         rng = np.random.default_rng(seed)
         centers = rng.normal(size=(4, 128))
         points = centers[rng.integers(4, size=n)] + spread * rng.normal(size=(n, 128))
         vectors = points / np.linalg.norm(points, axis=1, keepdims=True)
-        if fortran:  # the layout decompose_class_vectors produces
+        if fortran:
             vectors = np.asfortranarray(vectors)
-        result = kmeans_spherical(vectors, k, seed=seed)
-        with mock.patch.object(bank, "_normalized_means", _add_at_normalized_means):
-            reference = kmeans_spherical(vectors, k, seed=seed)
-        assert np.array_equal(result.centroids, reference.centroids)
-        assert np.array_equal(result.counts, reference.counts)
-        assert np.array_equal(result.assignments, reference.assignments)
-        assert result.objective_trace == reference.objective_trace
+        assign = rng.integers(m, size=n)
+        means, counts = bank._normalized_means(vectors, assign, m)
+        assert counts.tolist() == np.bincount(assign, minlength=m).tolist()
+        for j in range(m):
+            members = vectors[assign == j]
+            if len(members) == 0:
+                assert not means[j].any()
+            else:
+                assert np.abs(means[j] - _exact_normalized_sum(members)).max() <= 1e-12
+
+    def test_one_cluster_adds_rows_in_order(self):
+        # a one-row product goes to gemv, which adds in another order; one
+        # cluster keeps the in-order sum, so a k=1 bank does not move
+        rng = np.random.default_rng(13)
+        vectors = unit_cloud(rng, rng.normal(size=128), 1365, spread=0.5)
+        in_order = vectors[0].copy()
+        for row in vectors[1:]:
+            in_order += row
+        means, counts = bank._normalized_means(vectors, np.zeros(1365, dtype=np.int64), 1)
+        assert counts.tolist() == [1365]
+        assert np.array_equal(means[0], in_order / np.linalg.norm(in_order))
+
+    def test_fixpoint_result_is_its_own_lloyd_step(self):
+        # at a fixpoint the closing pass is skipped: the returned centroids must
+        # still be exactly the means of the returned assignments, which are the
+        # centroids' own nearest-centroid assignments
+        rng = np.random.default_rng(12)
+        vectors = unit_cloud(rng, np.array([0.3, 0.5, 0.8]), 200, spread=0.6)
+        result = kmeans_spherical(vectors, 3, seed=5)
+        assert len(result.objective_trace) - 1 < bank.MAX_LLOYD_ITERATIONS
+        assert result.objective_trace[-1] == result.objective_trace[-2]
+        means, counts = bank._normalized_means(vectors, result.assignments, 3)
+        assert np.array_equal(means, result.centroids)
+        assert np.array_equal(counts, result.counts)
+        assert np.array_equal(np.argmax(vectors @ result.centroids.T, axis=1), result.assignments)
 
     @staticmethod
     def _two_clouds():
@@ -196,8 +225,10 @@ class TestKMeans:
         assert result.assignments[0] != result.assignments[20]
         self._assert_coherent(result)
         # means are computed in every Lloyd iteration but the one that finds the
-        # fixpoint, and once more by the closing pass: as many calls as iterations
-        assert len(result.objective_trace) == means.call_count + 1
+        # fixpoint, and the closing pass adds none at a fixpoint
+        iterations = len(result.objective_trace) - 1
+        assert iterations < bank.MAX_LLOYD_ITERATIONS
+        assert means.call_count == iterations - 1
 
     def test_iteration_cap_drops_clusters_left_empty(self):
         vectors = self._two_clouds()

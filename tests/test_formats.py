@@ -412,7 +412,8 @@ class TestFeatureFiles:
 
     def test_at_most_two_maps_alive(self, tiny_corpus, monkeypatch):
         """Each stage reads every map it needs and never holds more than the
-        map in hand and the one before it."""
+        map in hand and the one before it; cluster frees each map before it
+        reads the next."""
         manifest = tiny_corpus.manifest
         read = formats.read_feature_map
         maps, most = [], [0]
@@ -437,7 +438,7 @@ class TestFeatureFiles:
         bank, reads, alive = reads_and_most_alive(
             lambda: build_centroid_bank(manifest, pseudo, 2, 2, 0, lazy)
         )
-        assert reads == n and alive <= 2
+        assert reads == n and alive <= 1
         cset = select_debiased(bank, 0.4)
         debiased, reads, alive = reads_and_most_alive(
             lambda: debias_all(manifest, lazy, pseudo, cset, 0.3)

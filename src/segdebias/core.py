@@ -24,12 +24,19 @@ __all__ = [
 
 
 def unit_rows(vectors: np.ndarray) -> np.ndarray:
-    """L2-normalize each row of a (n, D) matrix in float64."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
+    """L2-normalize each row of a (n, D) matrix in float64.
+
+    The norms are `np.linalg.norm(axis=-1)`'s arithmetic, and the input is
+    cast inside the square and the division instead of copied first, so a
+    float32 region holds one float64 (n, D) buffer at a time, not two.  With
+    two, each bank build on 64x64, D=128 maps faulted its heap in again on
+    every region: 100 000 to 246 000 minor page faults per 100-image bank,
+    against under 3 000 with one."""
+    vectors = np.asarray(vectors)
+    norms = np.sqrt(np.add.reduce(np.square(vectors, dtype=np.float64), axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise ValueError("degenerate vector: zero norm")
-    return vectors / norms
+    return np.divide(vectors, norms, dtype=np.float64)
 
 
 def _frozen_array(data: np.ndarray) -> np.ndarray:

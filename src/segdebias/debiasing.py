@@ -25,15 +25,24 @@ def _similarity(
 ) -> np.ndarray:
     """Per-pixel max cosine similarity over the given classes, each of which
     has a debiased centroid, negatives clipped to zero.  Returns a (H, W)
-    float64 array in [0, 1]."""
+    float64 array in [0, 1].
+
+    One float64 copy of the map is made.  The centroid products are taken
+    from it first; then it is squared in place and summed over the channels,
+    which is how `np.linalg.norm(flat, axis=0)` computes the pixel norms, bit
+    for bit, without the norm's own second map-sized temporary.  Freeing and
+    faulting in that second 4 MB buffer on every 64x64, D=128 map cost more
+    than the arithmetic."""
     d, h, w = fmap.data.shape
     flat = fmap.data.reshape(d, h * w).astype(np.float64)
-    norms = np.linalg.norm(flat, axis=0)
+    dots = [centroids.per_class[class_id] @ flat for class_id in classes]
+    np.multiply(flat, flat, out=flat)
+    norms = np.sqrt(np.add.reduce(flat, axis=0))
+    del flat
     best = np.full(h * w, -1.0)
-    for class_id in classes:
-        vec = centroids.per_class[class_id]
-        vec_norm = float(np.linalg.norm(vec))
-        sims = np.clip((vec @ flat) / (norms * vec_norm), -1.0, 1.0)
+    for class_id, dot in zip(classes, dots):
+        vec_norm = float(np.linalg.norm(centroids.per_class[class_id]))
+        sims = np.clip(dot / (norms * vec_norm), -1.0, 1.0)
         np.maximum(best, sims, out=best)
     return np.maximum(best, 0.0).reshape(h, w)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -74,6 +75,25 @@ class TestDecompose:
         assert vectors.shape == (n, 128) and vectors.dtype == np.float64
         assert vectors.flags.c_contiguous and vectors.flags.owndata
         assert vectors.strides == (128 * 8, 8)
+
+    def test_holds_one_float64_copy_of_the_region(self):
+        # a float64 copy of the gathered rows beside the squares and the result
+        # made every region of a 64x64, D=128 map fault its heap in again
+        rng = np.random.default_rng(6)
+        fmap = random_feature_map(rng, 128, 64, 64)
+        label = LabelMap((rng.random((64, 64)) < 0.3).astype(np.int16), 1)
+        n = int((label.data == 1).sum())
+        tracemalloc.start()
+        try:
+            vectors = decompose_class_vectors(fmap, label, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vectors.shape == (n, 128)
+        # the float32 gather and one float64 (n, D) buffer, plus the mask and
+        # numpy's casting buffers (8192 elements each); a second float64 buffer
+        # would add 1.2 MB
+        assert peak <= n * 128 * (4 + 8) + 256 * 1024
 
 
 class TestKMeans:
@@ -191,6 +211,41 @@ class TestKMeans:
         assert np.array_equal(means, result.centroids)
         assert np.array_equal(counts, result.counts)
         assert np.array_equal(np.argmax(vectors @ result.centroids.T, axis=1), result.assignments)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1140, 1400, 1478]),
+        st.sampled_from([2, 3]),
+        st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_contiguous_block_leaves_the_bank_where_it_was(self, seed, n, k, capped):
+        # region sizes of the 64x64, D=128 maps, where the contiguous and the
+        # transposed centroid block round differently in the last bits; the
+        # assignments and the centroids must still be the transposed product's
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(k + 1, 128))
+        points = centers[rng.integers(k + 1, size=n)] + 0.8 * rng.normal(size=(n, 128))
+        vectors = points / np.linalg.norm(points, axis=1, keepdims=True)
+
+        def transposed(vectors, centroids):
+            return np.clip(vectors @ centroids.T, -1.0, 1.0)
+
+        cap = 1 if capped else bank.MAX_LLOYD_ITERATIONS  # 1: the closing pass reassigns
+        with mock.patch.object(bank, "MAX_LLOYD_ITERATIONS", cap):
+            result = kmeans_spherical(vectors, k, seed)
+            with mock.patch.object(bank, "_similarities", transposed):
+                reference = kmeans_spherical(vectors, k, seed)
+        assert np.array_equal(result.assignments, reference.assignments)
+        assert np.array_equal(result.centroids, reference.centroids)
+        assert np.array_equal(result.counts, reference.counts)
+        assert np.allclose(result.objective_trace, reference.objective_trace, rtol=1e-12, atol=0)
+        means, counts = bank._normalized_means(vectors, result.assignments, len(result.centroids))
+        assert np.array_equal(means, result.centroids)
+        assert np.array_equal(counts, result.counts)
+        if not capped:
+            old = np.argmax(vectors @ result.centroids.T, axis=1)
+            assert np.array_equal(result.assignments, old)
 
     @staticmethod
     def _two_clouds():

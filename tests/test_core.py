@@ -47,6 +47,22 @@ def test_cosine_similarity_zero_norm_rejected():
         FeatureMap(np.zeros((2, 1, 1), dtype=np.float32))
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 300),
+    st.sampled_from([2, 16, 128]),
+    st.sampled_from([np.float32, np.float64]),
+)
+@settings(max_examples=30, deadline=None)
+def test_unit_rows_match_copy_first_formula(seed, n, d, dtype):
+    # unit_rows casts inside the square and the division; the bits must be
+    # those of a float64 copy normalized by np.linalg.norm
+    rng = np.random.default_rng(seed)
+    rows = (rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))).astype(dtype)
+    copied = rows.astype(np.float64)
+    assert np.array_equal(unit_rows(rows), copied / np.linalg.norm(copied, axis=-1, keepdims=True))
+
+
 def test_cosine_distance_examples():
     assert eq1_distance([1, 0], [1, 0]) == 0.0
     assert eq1_distance([1, 0], [0, 1]) == 0.5

@@ -1,5 +1,6 @@
 import logging
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -112,6 +113,58 @@ class TestSimilarityMap:
         message = "img: no usable centroids: none for truth classes [2, 3]"
         with pytest.raises(ValueError, match=re.escape(message)):
             debias_image(record({2, 3}), fmap, pseudo, cset, 0.3, embedding_dim=3)
+
+
+def _two_buffer_similarity(fmap, centroids, classes):
+    """_similarity as a float64 copy of the map plus `np.linalg.norm`'s own
+    squares: the reference the one-buffer form must match bit for bit."""
+    d, h, w = fmap.data.shape
+    flat = fmap.data.reshape(d, h * w).astype(np.float64)
+    norms = np.linalg.norm(flat, axis=0)
+    best = np.full(h * w, -1.0)
+    for class_id in classes:
+        vec = centroids.per_class[class_id]
+        sims = np.clip((vec @ flat) / (norms * float(np.linalg.norm(vec))), -1.0, 1.0)
+        np.maximum(best, sims, out=best)
+    return np.maximum(best, 0.0).reshape(h, w)
+
+
+class TestSimilarityBuffer:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([16, 128]),
+        st.integers(1, 3),
+        st.integers(1, 24),
+        st.integers(1, 24),
+        st.sampled_from([0.01, 1.0, 100.0]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_two_buffer_formula(self, seed, d, n_classes, h, w, scale):
+        rng = np.random.default_rng(seed)
+        fmap = FeatureMap(random_feature_map(rng, d, h, w).data * np.float32(scale))
+        classes = list(range(1, n_classes + 1))
+        cset = centroid_set({c: rng.normal(size=d) for c in classes})
+        assert np.array_equal(
+            _similarity(fmap, cset, classes), _two_buffer_similarity(fmap, cset, classes)
+        )
+
+    @pytest.mark.parametrize("d", [16, 128])
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_holds_one_float64_copy_of_the_map(self, d, n_classes):
+        rng = np.random.default_rng(2)
+        h, w = 32, 32
+        fmap = random_feature_map(rng, d, h, w)
+        classes = list(range(1, n_classes + 1))
+        cset = centroid_set({c: rng.normal(size=d) for c in classes})
+        tracemalloc.start()
+        try:
+            _similarity(fmap, cset, classes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 copy of the map, plus a few float64 (H, W) planes: the
+        # per-class products, the norms and the running maximum
+        assert peak <= (d + 8) * h * w * 8
 
 
 class TestBinarize:

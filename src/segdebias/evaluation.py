@@ -36,15 +36,24 @@ def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
     k = num_classes + 1
     if gt.num_classes > num_classes or pred.num_classes > num_classes:
         raise ValueError("label num_classes exceeds confusion matrix size")
-    return _pair_counts(gt.data, pred.data, k).reshape(k, k)
+    return _pair_counts(_truth_codes(gt.data, k), pred.data, k).reshape(k, k)
 
 
-def _pair_counts(gt: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
-    """The flat (k*k,) count of gt/pred value pairs over the pixels where gt != -1;
-    the one counting kernel behind every score."""
-    valid = gt != -1
-    codes = gt[valid].astype(np.int64) * k + pred[valid].astype(np.int64)
-    return np.bincount(codes, minlength=k * k)
+def _truth_codes(gt: np.ndarray, k: int) -> np.ndarray:
+    """Each pixel's gt * k, flat, with the gt == -1 pixels sent to k * k, the
+    row of bins past the k*k pairs.  int16 while every bin fits (k <= 180), so a
+    record's codes cost 2 bytes a pixel."""
+    dtype = np.int16 if k * (k + 1) <= np.iinfo(np.int16).max + 1 else np.int64
+    codes = np.multiply(gt.ravel(), k, dtype=dtype)
+    codes[gt.ravel() == -1] = k * k
+    return codes
+
+
+def _pair_counts(codes: np.ndarray, pred: np.ndarray, k: int) -> np.ndarray:
+    """The flat (k*k,) count of gt/pred value pairs, from `_truth_codes` and a
+    prediction in [0, k) per pixel, over the pixels where gt != -1; the one
+    counting kernel behind every score."""
+    return np.bincount(codes + pred.ravel(), minlength=k * (k + 1))[: k * k]
 
 
 @dataclass(frozen=True)

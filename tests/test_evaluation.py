@@ -16,6 +16,14 @@ def lmap(grid, c):
     return LabelMap(np.asarray(grid, dtype=np.int16), c)
 
 
+def per_pixel_counts(gt, pred, c):
+    expected = np.zeros((c + 1, c + 1), dtype=np.int64)
+    for (y, x), g in np.ndenumerate(gt.data):
+        if g != -1:
+            expected[g, pred.data[y, x]] += 1
+    return expected
+
+
 class TestAccumulate:
     def test_perfect_prediction_is_diagonal(self):
         gt = lmap([[0, 1], [2, 2]], 2)
@@ -30,13 +38,17 @@ class TestAccumulate:
         rng = np.random.default_rng(3)
         gt = lmap(rng.integers(-1, 4, (4, 4)), 3)
         pred = lmap(rng.integers(0, 4, (4, 4)), 3)
-        counts = _tally(gt, pred, 3)
-        expected = np.zeros((4, 4), dtype=np.int64)
-        for y in range(4):
-            for x in range(4):
-                if gt.data[y, x] != -1:
-                    expected[gt.data[y, x], pred.data[y, x]] += 1
-        assert np.array_equal(counts, expected)
+        assert np.array_equal(_tally(gt, pred, 3), per_pixel_counts(gt, pred, 3))
+
+    # past 179 classes the (C+1)*(C+2) bins no longer fit the int16 codes
+    @pytest.mark.parametrize("c", [179, 180, 250])
+    def test_matches_per_pixel_tally_at_many_classes(self, c):
+        rng = np.random.default_rng(3)
+        grid = rng.integers(-1, c + 1, (4, 4))
+        grid[0, :2] = [c, -1]
+        gt = lmap(grid, c)
+        pred = lmap(np.where(grid == c, c, rng.integers(0, c + 1, (4, 4))), c)
+        assert np.array_equal(_tally(gt, pred, c), per_pixel_counts(gt, pred, c))
 
     def test_rejects_sentinel_prediction(self):
         gt = lmap([[0]], 1)

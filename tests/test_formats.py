@@ -448,8 +448,9 @@ class TestFeatureFiles:
         _, reads, alive = reads_and_most_alive(
             lambda: train(manifest, debiased, config, features=lazy, ground_truth=truth)
         )
-        # the up-front check, then each epoch's steps and its scoring
-        assert reads == (2 * self.EPOCHS + 1) * n and alive <= 2
+        # the up-front check, each epoch's steps (which score the epoch before),
+        # then the last epoch's scoring
+        assert reads == (self.EPOCHS + 2) * n and alive <= 2
 
     def test_train_validates_every_lookup(self, tiny_corpus, tmp_path, monkeypatch):
         manifest = tiny_corpus.manifest
@@ -459,16 +460,18 @@ class TestFeatureFiles:
         records[2] = replace(records[2], feature_path=copy)
         manifest = replace(manifest, records=tuple(records))
         pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
-        score = tl._teacher_pass
+        step, steps = tl._step, [0]
 
-        def corrupt_after_scoring(*args, **kwargs):
-            result = score(*args, **kwargs)
-            blob = bytearray(copy.read_bytes())
-            blob[20:24] = struct.pack("<f", float("nan"))
-            copy.write_bytes(bytes(blob))
+        def corrupt_after_first_epoch(*args):
+            result = step(*args)
+            steps[0] += 1
+            if steps[0] == len(records):  # epoch 0's last step
+                blob = bytearray(copy.read_bytes())
+                blob[20:24] = struct.pack("<f", float("nan"))
+                copy.write_bytes(bytes(blob))
             return result
 
-        monkeypatch.setattr(tl, "_teacher_pass", corrupt_after_scoring)
+        monkeypatch.setattr(tl, "_step", corrupt_after_first_epoch)
         message = f"{copy}: feature map contains non-finite values (byte offset 20)"
         with pytest.raises(formats.FormatError, match=re.escape(message)):
             self.stages(manifest, formats.FeatureFiles(manifest), pseudo, truth)

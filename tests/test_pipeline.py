@@ -1,7 +1,6 @@
 import logging
 import re
 from dataclasses import fields, replace
-from unittest import mock
 
 import pytest
 
@@ -78,18 +77,39 @@ def test_unshared_ground_truth_fails_before_clustering(
         )
 
 
-def test_the_chain_scores_each_epoch_once(standard_corpus):
-    """train's last epoch score is the report: no image is counted a third time."""
-    params = PipelineParams(epochs=2)
-    with mock.patch.object(evaluation, "_pair_counts", wraps=evaluation._pair_counts) as tally:
-        result = run_pipeline(
-            standard_corpus.manifest,
-            standard_corpus.features(),
-            standard_corpus.pseudo_labels(),
-            params,
-            standard_corpus.ground_truth(),
+def test_the_chain_scores_each_epoch_once(standard_corpus, monkeypatch):
+    """Each epoch's teacher counts every image exactly once, the epoch's metrics
+    come from those counts, and train's last epoch score is the report: no
+    image is counted again."""
+    manifest = standard_corpus.manifest
+    params = PipelineParams(epochs=3)
+    count, calls = evaluation._pair_counts, []
+
+    def tally(codes, pred, k):
+        counts = count(codes, pred, k)
+        calls.append((id(codes), counts))
+        return counts
+
+    monkeypatch.setattr(evaluation, "_pair_counts", tally)
+    result = run_pipeline(
+        manifest,
+        standard_corpus.features(),
+        standard_corpus.pseudo_labels(),
+        params,
+        standard_corpus.ground_truth(),
+    )
+    n, k = len(manifest.records), manifest.num_classes + 1
+    assert len(calls) == params.epochs * n
+    images = {image for image, _ in calls[:n]}
+    assert len(images) == n
+    for epoch, metrics in enumerate(result.train_result.metrics):
+        epoch_calls = calls[epoch * n : (epoch + 1) * n]
+        assert {image for image, _ in epoch_calls} == images
+        report = evaluation._report(sum(counts for _, counts in epoch_calls).reshape(k, k))
+        assert (metrics.miou, metrics.fp_rate, metrics.fn_rate) == (
+            report.miou, report.fp_rate, report.fn_rate
         )
-    assert tally.call_count == 2 * len(standard_corpus.manifest.records)
+    assert result.report == report
     assert result.report is result.train_result.report
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -60,7 +61,7 @@ def loss_inputs(monkeypatch, grid, truth, teacher_bias, config=TrainConfig()):
     monkeypatch.setattr(tl, "_wce", spy)
     weights = np.zeros((num_classes + 1, 3))
     bias = np.asarray(teacher_bias, dtype=np.float64)
-    tl._step(target, fmap, weights, bias, weights, bias, config)
+    tl._step(target, _flat64(fmap), weights, bias, weights, bias, config)
     return seen["labels"], seen["weights"]
 
 
@@ -110,6 +111,42 @@ class TestTeacherLabel:
         probs = rng.random((3, 16))
         probs /= probs.sum(axis=0, keepdims=True)
         assert set(_restricted_argmax(probs, allowed({2})).tolist()) <= {0, 2}
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([16, 128]),
+        num_classes=st.integers(1, 6),
+        scale=st.sampled_from([0.01, 0.3, 3.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_logits_argmax_is_probability_argmax(self, seed, d, num_classes, scale):
+        """Scoring from logits + bias labels every pixel as `np.argmax` of the
+        probabilities over the allowed channels does."""
+        rng = np.random.default_rng(seed)
+        weights = rng.normal(0.0, scale, size=(num_classes + 1, d))
+        bias = rng.normal(0.0, scale, size=num_classes + 1)
+        flat = _flat64(random_feature_map(rng, d, 9, 11))
+        size = int(rng.integers(1, num_classes + 1))
+        truth = rng.choice(np.arange(1, num_classes + 1), size=size, replace=False)
+        classes = allowed(set(truth.tolist()))
+        probs = _softmax(weights, bias, flat)
+        expected = classes[np.argmax(probs[classes], axis=0)]
+        assert np.array_equal(_restricted_argmax(probs, classes), expected)
+        assert np.array_equal(tl._teacher_labels(weights, bias, flat, classes), expected)
+
+    def test_logits_split_a_rounded_probability_tie(self):
+        """How the two can differ: two allowed logits one ulp apart, whose
+        probabilities exp and the division round to one value.  The
+        probabilities tie and go to the smaller index; the logits do not."""
+        low = 2.0**-4  # exp(-ulp(low)) = exp(-2**-56) rounds to 1.0
+        bias = np.array([-1.0, low, np.nextafter(low, 1.0)])
+        weights = np.zeros((3, 16))
+        flat = _flat64(random_feature_map(np.random.default_rng(6), 16, 1, 2))
+        probs = _softmax(weights, bias, flat)
+        assert np.array_equal(probs[1], probs[2])
+        classes = allowed({1, 2})
+        assert _restricted_argmax(probs, classes).tolist() == [1, 1]
+        assert tl._teacher_labels(weights, bias, flat, classes).tolist() == [2, 2]
 
 
 class TestCertaintyMask:
@@ -432,10 +469,31 @@ class TestTrain:
         rng = np.random.default_rng(17)
         w, b = rng.normal(size=(4, 8)), rng.normal(size=4)
         config = TrainConfig(complement=True, certainty_weighting=True)
-        loss, grad_w, grad_b = tl._step(target, features[target.image_id], w, b, w, b, config)
+        flat = _flat64(features[target.image_id])
+        loss, grad_w, grad_b = tl._step(target, flat, w, b, w, b, config)
         assert sorted(set(calls)) == ["_gradient", "_normalize", "_wce"]
         assert calls.count("_normalize") == 2  # the teacher's columns and the student's
         assert np.isfinite(loss) and grad_w.shape == w.shape and grad_b.shape == b.shape
+
+    def test_scoring_state_costs_two_bytes_a_pixel(self):
+        """Ground truth adds one int16 code per pixel to each record's
+        constants, nothing more."""
+        manifest, features, debiased, gts = _random_training_set(18, 3, 4, 64, 64, 3)
+        pixels = sum(gt.data.size for gt in gts.values())
+
+        def retained(truth):
+            tracemalloc.start()
+            try:
+                targets = tl._targets(manifest, debiased, features, truth)
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(targets) == len(manifest.records)
+            return size
+
+        retained(gts)  # the first call's one-off caches are not per-record state
+        extra = retained(gts) - retained({})
+        assert extra <= 2 * pixels + 256 * len(manifest.records), extra / pixels
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

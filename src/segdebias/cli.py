@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import formats
 from .bank import build_centroid_bank
-from .core import DatasetManifest
 from .evaluation import (
     evaluate_predictions,
     per_class_fp_rows,
@@ -63,17 +62,6 @@ def params_from_flags(args) -> PipelineParams:
     return PipelineParams(**{name: getattr(args, name) for name in names})
 
 
-def _load_label_dir(directory, manifest: DatasetManifest, kind: str):
-    """One `<image_id>.bin` label per manifest record; a missing file is an error."""
-    out = {}
-    for record in manifest.records:
-        path = Path(directory) / f"{record.image_id}.bin"
-        if not path.exists():
-            raise FileNotFoundError(f"missing {kind} label {path}")
-        out[record.image_id] = formats.read_label_map(path, manifest.num_classes)
-    return out
-
-
 def _cmd_synth(args) -> int:
     if args.config:
         try:
@@ -110,8 +98,7 @@ def _cmd_select(args) -> int:
 def _cmd_debias(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     cset = formats.read_centroid_set(args.centroids)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     debiased = debias_all(
         manifest,
         formats.FeatureFiles(manifest),
@@ -119,8 +106,7 @@ def _cmd_debias(args) -> int:
         cset,
         args.threshold,
     )
-    for image_id, label in debiased.items():
-        formats.write_label_map(out_dir / f"{image_id}.bin", label)
+    formats.write_label_dir(args.out, debiased)
     rewritten = sum(int((label.data == -1).sum()) for label in debiased.values())
     print(f"wrote {len(debiased)} debiased labels ({rewritten} pixels rewritten)")
     return 0
@@ -128,7 +114,7 @@ def _cmd_debias(args) -> int:
 
 def _cmd_train(args) -> int:
     manifest = formats.read_manifest(args.manifest)
-    debiased = _load_label_dir(args.debiased, manifest, "debiased")
+    debiased = formats.read_label_dir(args.debiased, manifest)
     config = params_from_flags(args).train_config()
     result = train(
         manifest,
@@ -140,10 +126,7 @@ def _cmd_train(args) -> int:
     formats.write_checkpoint(args.out, result.teacher)
     write_metrics_csv(args.log, result.metrics)
     if args.pred_out:
-        pred_dir = Path(args.pred_out)
-        pred_dir.mkdir(parents=True, exist_ok=True)
-        for image_id, label in result.predictions.items():
-            formats.write_label_map(pred_dir / f"{image_id}.bin", label)
+        formats.write_label_dir(args.pred_out, result.predictions)
     final = result.metrics[-1].loss if result.metrics else float("nan")
     print(f"trained {config.epochs} epochs, final loss {final:.4f}")
     return 0
@@ -155,7 +138,7 @@ def _cmd_eval(args) -> int:
         if record.gt_path is None:
             raise ValueError(f"{record.image_id} has no gt_path; eval scores every record")
     ground_truth = formats.load_ground_truth(manifest)
-    predictions = _load_label_dir(args.pred, manifest, "prediction")
+    predictions = formats.read_label_dir(args.pred, manifest)
     rep = evaluate_predictions(ground_truth, predictions, manifest.num_classes)
     formats.atomic_write_bytes(args.out, report_json(rep).encode("utf-8"))
     if args.fp_csv:

@@ -7,6 +7,7 @@ to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -20,6 +21,7 @@ __all__ = [
     "DatasetManifest",
     "check_image",
     "unit_rows",
+    "whole_number",
 ]
 
 
@@ -37,6 +39,20 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValueError("degenerate vector: zero norm")
     return np.divide(vectors, norms, dtype=np.float64)
+
+
+def _is_real(value) -> bool:
+    """A real number and not a bool, which JSON's true would pass for 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def whole_number(name: str, value) -> int:
+    """The value as an int, if it is a whole number.  A bool, a string or a
+    fraction is refused, not cast: int() would read JSON's true as 1, "12"
+    as 12 and 2.7 as 2.  The caller checks the range."""
+    if not (_is_real(value) and value % 1 == 0):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _frozen_array(data: np.ndarray) -> np.ndarray:
@@ -140,7 +156,9 @@ class ImageRecord:
     def __post_init__(self) -> None:
         if not self.image_id:
             raise ValueError("image_id must be non-empty")
-        truth = frozenset(int(c) for c in self.truth_classes)
+        truth = frozenset(
+            whole_number(f"{self.image_id}: truth class", c) for c in self.truth_classes
+        )
         if not truth:
             raise ValueError(f"{self.image_id}: truth_classes must be non-empty")
         if any(c <= 0 for c in truth):
@@ -166,10 +184,11 @@ class DatasetManifest:
 
     def __post_init__(self) -> None:
         records = tuple(self.records)
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+        for name in ("num_classes", "embedding_dim"):
+            value = whole_number(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+            object.__setattr__(self, name, value)
         if not records:
             raise ValueError("manifest has no records")
         ids = [r.image_id for r in records]

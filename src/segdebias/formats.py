@@ -8,7 +8,8 @@ All formats are little-endian, row-major, and platform independent:
   MARSHD01  checkpoint  u32 channels, u32 D, f64 weights, f64 bias
 
 Bank records: i32 class_id, u32 cluster_index, u32 member_count,
-u32 id_len, utf-8 image id, f64 vector[D].
+u32 id_len, utf-8 image id, f64 vector[D].  A label directory holds one
+MARSLB01 file per image, named `<image_id>.bin`.
 
 Readers raise FormatError naming the file and a byte offset, also for a
 value its domain type rejects (a non-unit centroid vector, a label out of
@@ -176,6 +177,25 @@ def read_label_map(path, num_classes: int) -> LabelMap:
     return r.make(16, LabelMap, data, num_classes)
 
 
+def _label_file(directory, image_id: str) -> Path:
+    return Path(directory) / f"{image_id}.bin"
+
+
+def read_label_dir(directory, manifest: DatasetManifest) -> dict[str, LabelMap]:
+    """One label per manifest record from a label directory; a missing file
+    raises FileNotFoundError naming its path."""
+    return {
+        r.image_id: read_label_map(_label_file(directory, r.image_id), manifest.num_classes)
+        for r in manifest.records
+    }
+
+
+def write_label_dir(directory, labels: Mapping[str, LabelMap]) -> None:
+    """Each label to its file in a label directory, which is made if need be."""
+    for image_id, label in labels.items():
+        write_label_map(_label_file(directory, image_id), label)
+
+
 # -- centroid bank ------------------------------------------------------------
 
 def write_centroid_bank(path, bank) -> None:
@@ -296,9 +316,9 @@ def read_centroid_set(path):
         counts = {}
         for key, entry in payload["classes"].items():
             per_class[int(key)] = np.asarray(entry["vector"], dtype=np.float64)
-            counts[int(key)] = int(entry["selected_count"])
+            counts[int(key)] = entry["selected_count"]
         return DebiasedCentroidSet(
-            per_class=per_class, alpha=float(payload["alpha"]), selected_counts=counts
+            per_class=per_class, alpha=payload["alpha"], selected_counts=counts
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from None
@@ -343,7 +363,7 @@ def read_manifest(path) -> DatasetManifest:
     try:
         where = f"{path}: line {lines[0][0]}"
         meta = json.loads(lines[0][1])
-        num_classes, embedding_dim = int(meta["num_classes"]), int(meta["embedding_dim"])
+        num_classes, embedding_dim = meta["num_classes"], meta["embedding_dim"]
         records = []
         for n, ln in lines[1:]:
             where = f"{path}: line {n}"
@@ -353,7 +373,7 @@ def read_manifest(path) -> DatasetManifest:
                     image_id=entry["image_id"],
                     feature_path=base / entry["feature_path"],
                     label_path=base / entry["label_path"],
-                    truth_classes=frozenset(entry["truth_classes"]),
+                    truth_classes=entry["truth_classes"],
                     gt_path=(base / entry["gt_path"]) if entry.get("gt_path") else None,
                     bias_path=(base / entry["bias_path"]) if entry.get("bias_path") else None,
                 )

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .bank import Centroid, CentroidBank
-from .core import _unit_vector
+from .core import _is_real, _unit_vector, whole_number
 
 __all__ = [
     "ScoredCentroid",
@@ -45,8 +45,9 @@ class DebiasedCentroidSet:
     selected_counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
+            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         per_class = {
             int(c): _unit_vector(vec, f"class {c} centroid vector")
             for c, vec in self.per_class.items()
@@ -54,10 +55,12 @@ class DebiasedCentroidSet:
         lengths = sorted({vec.shape[0] for vec in per_class.values()})
         if len(lengths) > 1:
             raise ValueError(f"debiased centroid vectors differ in length: {lengths}")
+        counts = {
+            int(c): whole_number(f"class {c} selected_count", n)
+            for c, n in self.selected_counts.items()
+        }
         object.__setattr__(self, "per_class", per_class)
-        object.__setattr__(
-            self, "selected_counts", {int(c): int(n) for c, n in self.selected_counts.items()}
-        )
+        object.__setattr__(self, "selected_counts", counts)
 
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted(self.per_class))

@@ -24,7 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap
+from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap, whole_number
 from . import formats
 
 __all__ = [
@@ -65,9 +65,13 @@ class SynthConfig:
     target_detail_affinity: float = 0.05
 
     def __post_init__(self) -> None:
+        for name in ("num_images", "num_classes", "embedding_dim", "seed"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.num_images < 1 or self.num_classes < 1:
             raise ValueError("num_images and num_classes must be >= 1")
-        problematic = tuple(sorted(set(int(c) for c in self.problematic_classes)))
+        problematic = tuple(
+            sorted({whole_number("problematic class", c) for c in self.problematic_classes})
+        )
         if any(c < 1 or c > self.num_classes for c in problematic):
             raise ValueError("problematic_classes must lie in [1, num_classes]")
         # one orthogonal direction each for the background, every class texture,
@@ -79,7 +83,10 @@ class SynthConfig:
                 f"{len(problematic)} problematic, got {self.embedding_dim}"
             )
         object.__setattr__(self, "problematic_classes", problematic)
-        object.__setattr__(self, "image_size", (int(self.image_size[0]), int(self.image_size[1])))
+        h, w = self.image_size
+        object.__setattr__(
+            self, "image_size", (whole_number("image_size", h), whole_number("image_size", w))
+        )
         if not (0.0 <= self.bias_cooccurrence <= 1.0):
             raise ValueError("bias_cooccurrence must lie in [0, 1]")
         if not (0.0 < self.bias_in_background_rate <= 1.0):

@@ -7,23 +7,24 @@ mask down-weights those filled pixels by the teacher's confidence, and the
 student takes one gradient-descent step on the weighted cross-entropy before
 the teacher absorbs it through an exponential moving average.  The teacher
 is read only on the -1 pixels, so its softmax runs on those columns alone.
-Each map is cast to float64 once per epoch.  With ground truth, the teacher
-as it stood at the end of an epoch labels each image during the next epoch's
-step for that image, from the same cast, and the labels go into one confusion
-count from which that epoch's metrics come; one pass after the loop scores
-the last epoch and keeps the predictions.
+Training makes epochs + 1 passes over the images and casts each map to
+float64 once per pass.  Pass p labels every image, from that cast, with the
+teacher the epoch before it ended with; with ground truth the labels go into
+one confusion count, from which epoch p - 1's metrics come.  Every pass but
+the last then takes the steps; the last only labels, and its labels are the
+predictions.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from . import formats
-from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array, check_image
+from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array, check_image, whole_number
 from . import evaluation
 from .evaluation import EvalReport
 
@@ -83,10 +84,10 @@ class TrainConfig:
 
     def _set_whole(self, name: str, minimum: int) -> None:
         """Store the field as an int; it must be a whole number >= minimum."""
-        value = getattr(self, name)
-        if not (float(value).is_integer() and value >= minimum):
-            raise ValueError(f"{name} must be a whole number >= {minimum}, got {value}")
-        object.__setattr__(self, name, int(value))
+        value = whole_number(name, getattr(self, name))
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+        object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -200,16 +201,16 @@ def _require_finite(weights: np.ndarray, bias: np.ndarray) -> None:
 
 @dataclass(frozen=True, slots=True)
 class _Target:
-    """What one record contributes to every step besides its map: its flat
-    debiased label, the flat indices of its -1 pixels, the class sets the
-    teacher may use, and its ground truth as `evaluation._truth_codes`, None
-    without ground truth."""
+    """What one record contributes to every pass besides its map: its flat
+    debiased label and the label's shape, the flat indices of its -1 pixels,
+    the classes the teacher may pick (background, then the truth classes), and
+    its ground truth as `evaluation._truth_codes`, None without ground truth."""
 
     image_id: str
     labels: np.ndarray
+    shape: tuple[int, int]
     sentinel: np.ndarray
     allowed: np.ndarray
-    foreground: list[int]
     codes: Optional[np.ndarray]
 
 
@@ -231,16 +232,15 @@ def _targets(
         check_image(record, fmap, ydb, manifest.embedding_dim)
         if truth:
             _check_truth(record.image_id, truth[record.image_id], fmap, manifest.num_classes)
-        # ImageRecord and DatasetManifest keep truth classes non-empty and in [1, C]
-        foreground = sorted(record.truth_classes)
         labels = ydb.data.ravel()
         targets.append(
             _Target(
                 image_id=record.image_id,
                 labels=labels,
+                shape=ydb.spatial_shape,
                 sentinel=np.flatnonzero(labels == -1),
-                allowed=np.asarray([0] + foreground, dtype=np.int16),
-                foreground=foreground,
+                # ImageRecord and DatasetManifest keep truth classes non-empty and in [1, C]
+                allowed=np.asarray([0, *sorted(record.truth_classes)], dtype=np.int16),
                 codes=evaluation._truth_codes(truth[record.image_id].data, k) if truth else None,
             )
         )
@@ -259,41 +259,6 @@ def _check_truth(image_id: str, gt: LabelMap, fmap: FeatureMap, num_classes: int
             f"{image_id}: ground truth num_classes {gt.num_classes} exceeds manifest "
             f"num_classes {num_classes}"
         )
-
-
-class _Scores:
-    """One epoch's confusion count, filled one image at a time; the image
-    order does not change the integer sums."""
-
-    def __init__(self, num_classes: int) -> None:
-        self.k = num_classes + 1
-        self.counts = np.zeros(self.k * self.k, dtype=np.int64)
-
-    def add(self, t: _Target, labels: np.ndarray) -> None:
-        self.counts += evaluation._pair_counts(t.codes, labels, self.k)
-
-    def report(self) -> EvalReport:
-        return evaluation._report(self.counts.reshape(self.k, self.k))
-
-
-def _teacher_pass(
-    weights: np.ndarray,
-    bias: np.ndarray,
-    targets: Sequence[_Target],
-    features: Mapping[str, FeatureMap],
-    num_classes: int,
-    scores: Optional[_Scores],
-) -> dict[str, LabelMap]:
-    """Label every image with the teacher once, adding the labels to `scores`
-    if it is given; the labels are the predictions."""
-    predictions = {}
-    for t in targets:
-        fmap = features[t.image_id]
-        labels = _teacher_labels(weights, bias, _flat64(fmap), t.allowed)
-        if scores is not None:
-            scores.add(t, labels)
-        predictions[t.image_id] = LabelMap(labels.reshape(fmap.spatial_shape), num_classes)
-    return predictions
 
 
 def _step(
@@ -323,7 +288,7 @@ def _step(
         labels[t.sentinel] = _restricted_argmax(teacher_probs, t.allowed)
         if config.certainty_weighting:
             # the max probability over the foreground truth classes; never background
-            weights[t.sentinel] = teacher_probs[t.foreground].max(axis=0)
+            weights[t.sentinel] = teacher_probs[t.allowed[1:]].max(axis=0)
     else:  # sentinel pixels get weight 0 and a dummy class
         labels[t.sentinel] = 0
         weights[t.sentinel] = 0.0
@@ -342,12 +307,17 @@ def train(
 ) -> TrainResult:
     """Run the full teacher-student loop and return the final teacher.
 
-    Image order is a seeded shuffle per epoch; with epochs == 0 the
-    initialized head is returned untouched.  Per-epoch mIoU/FP/FN are logged,
-    and the final predictions scored, unless ground truth is empty, and then
-    it must cover every record with a label of the map's shape; ids outside
-    the manifest are ignored.  Each map is looked up epochs + 2 times: to
-    check it, once per epoch, and for the predictions.  So given a
+    The loop makes epochs + 1 passes over the images.  Pass p casts each map
+    once and labels the image with the teacher epoch p - 1 ended with (at
+    p = 0 the initialized head); every pass but the last then takes the step,
+    in a seeded shuffle of the images.  The last pass takes no step and draws
+    no shuffle: it walks the manifest in order, and its labels are the
+    predictions, so with epochs == 0 the initialized head is returned
+    untouched and labels them.  Unless ground truth is empty, the labels of
+    pass p >= 1 score epoch p - 1 into its metrics, and the last pass's score
+    is the report; ground truth must then cover every record with a label of
+    the map's shape, and ids outside the manifest are ignored.  Each map is
+    looked up epochs + 2 times: to check it, then once per pass.  So given a
     `formats.FeatureFiles` the loop holds one map at a time.
     """
     records = manifest.records
@@ -360,28 +330,37 @@ def train(
     initial = SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
     student_w, student_b = teacher_w, teacher_b = initial.weights, initial.bias
     lr, momentum = config.learning_rate, config.ema_momentum
+    k = manifest.num_classes + 1
 
-    losses: list[float] = []
-    reports: list[Optional[EvalReport]] = []  # reports[e] scores epoch e's teacher
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(records))
-        # the teacher the previous epoch ended with, scored on this epoch's casts
-        scored_w, scored_b = teacher_w, teacher_b
-        scores = _Scores(manifest.num_classes) if truth and epoch else None
+    metrics: list[EpochMetrics] = []
+    predictions: dict[str, LabelMap] = {}  # filled by the last pass
+    for p in range(config.epochs + 1):
+        stepping = p < config.epochs
+        scoring = bool(truth) and (p > 0 or not stepping)
+        order = rng.permutation(len(records)) if stepping else range(len(records))
+        labeled_w, labeled_b = teacher_w, teacher_b  # the teacher epoch p - 1 ended with
+        counts = np.zeros(k * k, dtype=np.int64)
         epoch_loss = 0.0
         for idx in order:
             t = targets[int(idx)]
             flat = _flat64(features[t.image_id])
-            if scores is not None:
-                scores.add(t, _teacher_labels(scored_w, scored_b, flat, t.allowed))
-            loss, grad_w, grad_b = _step(
-                t, flat, student_w, student_b, teacher_w, teacher_b, config
-            )
-            del flat  # before the next map is cast
-            if not np.isfinite(loss):
-                raise RuntimeError(
-                    f"non-finite loss {loss} at epoch {epoch}, image {t.image_id}"
+            if scoring or not stepping:
+                labels = _teacher_labels(labeled_w, labeled_b, flat, t.allowed)
+                if scoring:
+                    counts += evaluation._pair_counts(t.codes, labels, k)
+                if not stepping:
+                    predictions[t.image_id] = LabelMap(
+                        labels.reshape(t.shape), manifest.num_classes
+                    )
+            if stepping:
+                loss, grad_w, grad_b = _step(
+                    t, flat, student_w, student_b, teacher_w, teacher_b, config
                 )
+            del flat  # before the next map is cast, in every pass
+            if not stepping:
+                continue
+            if not np.isfinite(loss):
+                raise RuntimeError(f"non-finite loss {loss} at epoch {p}, image {t.image_id}")
             student_w = student_w - lr * grad_w
             student_b = student_b - lr * grad_b
             _require_finite(student_w, student_b)
@@ -389,25 +368,16 @@ def train(
             teacher_b = momentum * teacher_b + (1.0 - momentum) * student_b
             _require_finite(teacher_w, teacher_b)
             epoch_loss += loss
-        if epoch:  # the previous epoch's score is complete
-            reports.append(scores.report() if scores is not None else None)
-        losses.append(epoch_loss)
-
-    # scores the last epoch, or the initial head if there was none
-    scores = _Scores(manifest.num_classes) if truth else None
-    predictions = _teacher_pass(
-        teacher_w, teacher_b, targets, features, manifest.num_classes, scores
-    )
-    reports.append(scores.report() if scores is not None else None)
+        report = evaluation._report(counts.reshape(k, k)) if scoring else None
+        if p:  # this pass scored epoch p - 1
+            scores = (report.miou, report.fp_rate, report.fn_rate) if scoring else ()
+            metrics.append(EpochMetrics(p - 1, previous_loss, *scores))
+        previous_loss = epoch_loss
     return TrainResult(
         teacher=SegHead(teacher_w, teacher_b),
-        metrics=tuple(
-            EpochMetrics(epoch, loss) if rep is None
-            else EpochMetrics(epoch, loss, rep.miou, rep.fp_rate, rep.fn_rate)
-            for epoch, (loss, rep) in enumerate(zip(losses, reports))
-        ),
+        metrics=tuple(metrics),
         predictions=predictions,
-        report=reports[-1],
+        report=report,
     )
 
 

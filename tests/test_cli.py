@@ -179,6 +179,10 @@ def test_synth_config_error_names_the_file(tmp_path, capsys):
         ({"embedding_dim": 8}, "embedding_dim must be >= 11"),
         ({"echo_bg_rate": 0.5}, "unexpected keyword argument 'echo_bg_rate'"),
         ([4, 8], "must be a mapping"),
+        # a fraction is refused, not truncated or left to crash the generator
+        ({"num_images": 2.5}, "num_images must be a whole number, got 2.5"),
+        ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+        ({"image_size": [24, 40.5]}, "image_size must be a whole number, got 40.5"),
     ]:
         config_path.write_text(json.dumps(payload))
         assert main(["synth", "--out", str(tmp_path / "c"), "--config", str(config_path)]) == 1

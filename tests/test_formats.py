@@ -315,6 +315,13 @@ def _set_json(alpha=0.4, **classes):
             "differ in length: [1, 2]",
         ),
         ("{not json", "Expecting property name"),
+        # counts and alpha are taken as written, not cast
+        (
+            _set_json(**{"1": {"vector": [1.0], "selected_count": 2.7}}),
+            "class 1 selected_count must be a whole number, got 2.7",
+        ),
+        (_set_json(alpha=True), "alpha must lie in (0, 1], got True"),
+        (_set_json(alpha="0.4"), "alpha must lie in (0, 1], got '0.4'"),
     ],
 )
 def test_malformed_centroid_set_names_the_file(tmp_path, text, message):
@@ -363,9 +370,20 @@ _RECORD = '{"feature_path": "a.f", "image_id": "a", "label_path": "a.l", "truth_
         ([_META, "", _RECORD.replace('"image_id": "a", ', "")], "line 3",
          "missing field 'image_id'"),
         ([_META, "not json"], "line 2", "Expecting value"),
-        ([_META, _RECORD.replace("[1]", '["x"]')], "line 2", "invalid literal for int()"),
+        ([_META, _RECORD.replace("[1]", '["x"]')], "line 2",
+         "a: truth class must be a whole number, got 'x'"),
         (['{"num_classes": 2}', _RECORD], "line 1", "missing field 'embedding_dim'"),
         ([_META, _RECORD, _RECORD], None, "image_ids must be unique"),
+        # class ids and dims are taken as written, not cast
+        ([_META, _RECORD.replace("[1]", '"12"')], "line 2",
+         "a: truth class must be a whole number, got '1'"),
+        ([_META, _RECORD.replace("[1]", "[1.5]")], "line 2",
+         "a: truth class must be a whole number, got 1.5"),
+        ([_META, _RECORD.replace("[1]", "[true]")], "line 2",
+         "a: truth class must be a whole number, got True"),
+        ([_META.replace("4", "16.9"), _RECORD], None,
+         "embedding_dim must be a whole number, got 16.9"),
+        ([_META.replace("2", '"2"'), _RECORD], None, "num_classes must be a whole number, got '2'"),
     ],
 )
 def test_malformed_manifest_names_the_file_and_line(tmp_path, lines, where, message):

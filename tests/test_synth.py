@@ -130,6 +130,21 @@ def test_config_validation():
     with pytest.raises(ValueError, match="embedding_dim must be >= 11"):
         SynthConfig(embedding_dim=10)
     SynthConfig(embedding_dim=11)
+    # counts, sizes, class ids and the seed are whole numbers, never truncated
+    for knobs, message in [
+        ({"num_images": 2.5}, "num_images must be a whole number, got 2.5"),
+        ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
+        ({"num_classes": True}, "num_classes must be a whole number, got True"),
+        ({"embedding_dim": "16"}, "embedding_dim must be a whole number, got '16'"),
+        ({"image_size": (24, 40.5)}, "image_size must be a whole number, got 40.5"),
+        ({"problematic_classes": (1.5,)}, "problematic class must be a whole number, got 1.5"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            SynthConfig(**knobs)
+        assert str(err.value) == message
+    whole = SynthConfig(num_classes=2.0, image_size=(24.0, 40), problematic_classes=(1.0,))
+    assert whole == SynthConfig(num_classes=2, problematic_classes=(1,))
+    assert type(whole.num_classes) is int and type(whole.image_size[0]) is int
 
 
 def test_manifest_readable_from_disk(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import segdebias.trainloop as tl
+from segdebias import formats
 from segdebias.core import DatasetManifest, ImageRecord, LabelMap
 from segdebias.evaluation import _report, _tally, evaluate_predictions
 from segdebias.trainloop import (
@@ -494,6 +495,31 @@ class TestTrain:
         retained(gts)  # the first call's one-off caches are not per-record state
         extra = retained(gts) - retained({})
         assert extra <= 2 * pixels + 256 * len(manifest.records), extra / pixels
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_one_float64_cast_alive_in_every_pass(self, tmp_path, epochs):
+        """Each pass, the prediction pass included, frees a map's float64 cast
+        before it casts the next map, so on `FeatureFiles` the peak holds one
+        cast and the float32 map it came from, not two casts."""
+        manifest, features, debiased, gts = _random_training_set(19, 1, 128, 64, 64, 3)
+        records = []
+        for r in manifest.records:
+            path = tmp_path / r.feature_path.name
+            formats.write_feature_map(path, features[r.image_id])
+            records.append(replace(r, feature_path=path))
+        manifest = replace(manifest, records=tuple(records))
+        del features
+        config = TrainConfig(epochs=epochs, seed=0)
+        lazy = formats.FeatureFiles(manifest)
+        train(manifest, debiased, config, features=lazy, ground_truth=gts)  # one-off caches
+        tracemalloc.start()
+        try:
+            train(manifest, debiased, config, features=lazy, ground_truth=gts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cast = 8 * 128 * 64 * 64  # 4 MiB; the map is half that
+        assert peak < 2 * cast, peak / cast  # a second live cast takes it past 2.5
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

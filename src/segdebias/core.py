@@ -8,7 +8,7 @@ to share across threads.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -21,6 +21,9 @@ __all__ = [
     "DatasetManifest",
     "check_image",
     "unit_rows",
+    "number_field",
+    "real_number",
+    "set_number_fields",
     "whole_number",
 ]
 
@@ -46,13 +49,48 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def whole_number(name: str, value) -> int:
-    """The value as an int, if it is a whole number.  A bool, a string or a
-    fraction is refused, not cast: int() would read JSON's true as 1, "12"
-    as 12 and 2.7 as 2.  The caller checks the range."""
+def whole_number(name: str, value, minimum: Optional[int] = None) -> int:
+    """The value as an int, if it is a whole number of at least `minimum`.
+    A bool, a string or a fraction is refused, not cast: int() would read
+    JSON's true as 1, "12" as 12 and 2.7 as 2."""
     if not (_is_real(value) and value % 1 == 0):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def real_number(
+    name: str, value, low: float, high: float, *, open_low=False, open_high=False
+) -> float:
+    """The value as a float, if it is a real number in the interval from low
+    to high, each end closed unless it is marked open.  A bool, a string, NaN
+    and any value outside are refused."""
+    inside = _is_real(value) and (
+        (low < value if open_low else low <= value)
+        and (value < high if open_high else value <= high)
+    )
+    if not inside:
+        interval = ("(" if open_low else "[") + f"{low:g}, {high:g}" + (")" if open_high else "]")
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+    return float(value)
+
+
+def number_field(default=MISSING, **bounds):
+    """A dataclass field that set_number_fields checks: a whole number when
+    the bounds name a `minimum` (None for none), else a real number within
+    real_number's bounds."""
+    return field(default=default, metadata={"bounds": bounds})
+
+
+def set_number_fields(obj) -> None:
+    """Check each number_field of a frozen dataclass and store it as an int
+    or a float; an error names the field."""
+    for f in fields(obj):
+        if "bounds" in f.metadata:
+            bounds = f.metadata["bounds"]
+            check = whole_number if "minimum" in bounds else real_number
+            object.__setattr__(obj, f.name, check(f.name, getattr(obj, f.name), **bounds))
 
 
 def _frozen_array(data: np.ndarray) -> np.ndarray:
@@ -179,16 +217,12 @@ class DatasetManifest:
     """Ordered image records plus the dataset-wide class count and embedding dim."""
 
     records: tuple[ImageRecord, ...]
-    num_classes: int
-    embedding_dim: int
+    num_classes: int = number_field(minimum=1)
+    embedding_dim: int = number_field(minimum=1)
 
     def __post_init__(self) -> None:
         records = tuple(self.records)
-        for name in ("num_classes", "embedding_dim"):
-            value = whole_number(name, getattr(self, name))
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
-            object.__setattr__(self, name, value)
+        set_number_fields(self)
         if not records:
             raise ValueError("manifest has no records")
         ids = [r.image_id for r in records]

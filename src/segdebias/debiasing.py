@@ -12,12 +12,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FeatureMap, ImageRecord, LabelMap, check_image
+from .core import FeatureMap, ImageRecord, LabelMap, check_image, real_number
 from .selection import DebiasedCentroidSet
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["debias_image"]
+
+# a foreground pixel whose similarity falls below the threshold becomes -1
+THRESHOLD_RANGE = {"low": 0.0, "high": 1.0}
 
 
 def _similarity(
@@ -72,8 +75,7 @@ def debias_image(
     skipped = [c for c in truth if c not in centroids.per_class]
     if skipped:
         logger.warning("%s: no debiased centroid for classes %s; skipping them", image_id, skipped)
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"{image_id}: threshold must lie in [0, 1], got {threshold}")
+    threshold = real_number(f"{image_id}: threshold", threshold, **THRESHOLD_RANGE)
     check_image(record, fmap, pseudo, embedding_dim)
     if pseudo.has_sentinel():
         raise ValueError(f"{image_id}: pseudo label must not already contain -1")

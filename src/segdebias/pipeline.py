@@ -14,10 +14,10 @@ import numpy as np
 
 from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
-from .core import DatasetManifest, FeatureMap, LabelMap
-from .debiasing import debias_image
+from .core import DatasetManifest, FeatureMap, LabelMap, number_field
+from .debiasing import THRESHOLD_RANGE, debias_image
 from .evaluation import EvalReport, require_shared_ids
-from .selection import DebiasedCentroidSet, select_debiased
+from .selection import ALPHA_RANGE, DebiasedCentroidSet, select_debiased
 from .trainloop import TrainConfig, TrainResult, train
 
 __all__ = [
@@ -47,19 +47,10 @@ class PipelineParams(TrainConfig):
     """Every hyperparameter of the chain with its default and its range; the
     training fields and their checks come from TrainConfig."""
 
-    k_fg: int = 2
-    k_bg: int = 2
-    alpha: float = 0.40
-    threshold: float = 0.30
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        self._set_whole("k_fg", 1)
-        self._set_whole("k_bg", 1)
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (0.0 <= self.threshold <= 1.0):
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
+    k_fg: int = number_field(2, minimum=1)
+    k_bg: int = number_field(2, minimum=1)
+    alpha: float = number_field(0.40, **ALPHA_RANGE)
+    threshold: float = number_field(0.30, **THRESHOLD_RANGE)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 
 from .bank import Centroid, CentroidBank
-from .core import _is_real, _unit_vector, whole_number
+from .core import _unit_vector, number_field, real_number, set_number_fields, whole_number
 
 __all__ = [
     "ScoredCentroid",
@@ -26,6 +26,9 @@ __all__ = [
     "selection_rows",
     "selected_count",
 ]
+
+# the top fraction of each class's centroids that feeds its debiased centroid
+ALPHA_RANGE = {"low": 0.0, "high": 1.0, "open_low": True}
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,11 @@ class DebiasedCentroidSet:
     """One unit vector per foreground class, plus how many centroids fed it."""
 
     per_class: Mapping[int, np.ndarray]
-    alpha: float
+    alpha: float = number_field(**ALPHA_RANGE)
     selected_counts: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.alpha) and 0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha!r}")
-        object.__setattr__(self, "alpha", float(self.alpha))
+        set_number_fields(self)
         per_class = {
             int(c): _unit_vector(vec, f"class {c} centroid vector")
             for c, vec in self.per_class.items()
@@ -56,9 +57,13 @@ class DebiasedCentroidSet:
         if len(lengths) > 1:
             raise ValueError(f"debiased centroid vectors differ in length: {lengths}")
         counts = {
-            int(c): whole_number(f"class {c} selected_count", n)
+            int(c): whole_number(f"class {c} selected_count", n, 1)
             for c, n in self.selected_counts.items()
         }
+        if set(counts) != set(per_class):
+            raise ValueError(
+                f"selected_counts classes {sorted(counts)} != centroid classes {sorted(per_class)}"
+            )
         object.__setattr__(self, "per_class", per_class)
         object.__setattr__(self, "selected_counts", counts)
 
@@ -81,8 +86,7 @@ def _background_distances(vectors: np.ndarray, matrix: np.ndarray) -> np.ndarray
 
 def selected_count(num_candidates: int, alpha: float) -> int:
     """ceil(M * alpha) with a guard against float round-up at exact integers."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = real_number("alpha", alpha, **ALPHA_RANGE)
     return max(1, min(num_candidates, math.ceil(num_candidates * alpha - 1e-9)))
 
 

@@ -18,6 +18,7 @@ ratios rather than by initialization noise.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -25,6 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import DatasetManifest, FeatureMap, ImageRecord, LabelMap, whole_number
+from .core import number_field, set_number_fields
 from . import formats
 
 __all__ = [
@@ -51,29 +53,29 @@ class SynthConfig:
     """Knobs for one corpus.  The defaults are the standard desk-scale corpus
     used throughout the test suite."""
 
-    num_images: int = 60
+    num_images: int = number_field(60, minimum=1)
     image_size: tuple[int, int] = (24, 40)
-    num_classes: int = 4
-    embedding_dim: int = 16
+    num_classes: int = number_field(4, minimum=1)
+    embedding_dim: int = number_field(16, minimum=None)
     problematic_classes: tuple[int, ...] = (1, 2)
-    bias_cooccurrence: float = 0.6
-    bias_in_background_rate: float = 0.3
-    feature_noise_sigma: float = 0.05
-    seed: int = 7
-    secondary_class_rate: float = 1.0
-    detail_fraction: float = 0.04
-    target_detail_affinity: float = 0.05
+    bias_cooccurrence: float = number_field(0.6, low=0.0, high=1.0)
+    bias_in_background_rate: float = number_field(0.3, low=0.0, high=1.0, open_low=True)
+    feature_noise_sigma: float = number_field(0.05, low=0.0, high=np.inf, open_high=True)
+    seed: int = number_field(7, minimum=0)
+    secondary_class_rate: float = number_field(1.0, low=0.0, high=1.0)
+    detail_fraction: float = number_field(0.04, low=0.0, high=1.0, open_high=True)
+    target_detail_affinity: float = number_field(0.05, low=0.0, high=1.0, open_high=True)
 
     def __post_init__(self) -> None:
-        for name in ("num_images", "num_classes", "embedding_dim", "seed"):
-            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
-        if self.num_images < 1 or self.num_classes < 1:
-            raise ValueError("num_images and num_classes must be >= 1")
-        problematic = tuple(
-            sorted({whole_number("problematic class", c) for c in self.problematic_classes})
-        )
-        if any(c < 1 or c > self.num_classes for c in problematic):
-            raise ValueError("problematic_classes must lie in [1, num_classes]")
+        set_number_fields(self)
+        classes = self.problematic_classes
+        if not isinstance(classes, Iterable):
+            raise ValueError(f"problematic_classes must be a sequence of classes, got {classes!r}")
+        problematic = tuple(sorted({whole_number("problematic class", c, 1) for c in classes}))
+        if problematic and problematic[-1] > self.num_classes:
+            raise ValueError(
+                f"problematic class {problematic[-1]} exceeds num_classes {self.num_classes}"
+            )
         # one orthogonal direction each for the background, every class texture,
         # every detail texture and every impostor texture
         needed = 1 + 2 * self.num_classes + len(problematic)
@@ -83,22 +85,10 @@ class SynthConfig:
                 f"{len(problematic)} problematic, got {self.embedding_dim}"
             )
         object.__setattr__(self, "problematic_classes", problematic)
-        h, w = self.image_size
-        object.__setattr__(
-            self, "image_size", (whole_number("image_size", h), whole_number("image_size", w))
-        )
-        if not (0.0 <= self.bias_cooccurrence <= 1.0):
-            raise ValueError("bias_cooccurrence must lie in [0, 1]")
-        if not (0.0 < self.bias_in_background_rate <= 1.0):
-            raise ValueError("bias_in_background_rate must lie in (0, 1]")
-        if self.feature_noise_sigma < 0.0:
-            raise ValueError("feature_noise_sigma must be >= 0")
-        if not (0.0 <= self.secondary_class_rate <= 1.0):
-            raise ValueError("secondary_class_rate must lie in [0, 1]")
-        if not (0.0 <= self.detail_fraction < 1.0):
-            raise ValueError("detail_fraction must lie in [0, 1)")
-        if not (0.0 <= self.target_detail_affinity < 1.0):
-            raise ValueError("target_detail_affinity must lie in [0, 1)")
+        size = self.image_size
+        if not (isinstance(size, Sequence) and len(size) == 2):
+            raise ValueError(f"image_size must be two whole numbers, got {size!r}")
+        object.__setattr__(self, "image_size", tuple(whole_number("image_size", n) for n in size))
 
     @classmethod
     def standard(cls) -> "SynthConfig":

@@ -24,7 +24,8 @@ from typing import Iterable, Mapping, Optional
 import numpy as np
 
 from . import formats
-from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array, check_image, whole_number
+from .core import DatasetManifest, FeatureMap, LabelMap, _frozen_array, check_image
+from .core import number_field, set_number_fields
 from . import evaluation
 from .evaluation import EvalReport
 
@@ -67,27 +68,15 @@ class SegHead:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 40
-    learning_rate: float = 1e-3
-    ema_momentum: float = 0.99
-    seed: int = 0
+    epochs: int = number_field(40, minimum=0)
+    learning_rate: float = number_field(1e-3, low=0.0, high=np.inf, open_low=True, open_high=True)
+    ema_momentum: float = number_field(0.99, low=0.0, high=1.0, open_high=True)
+    seed: int = number_field(0, minimum=0)
     complement: bool = True
     certainty_weighting: bool = True
 
     def __post_init__(self) -> None:
-        self._set_whole("epochs", 0)
-        if self.learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (0.0 <= self.ema_momentum < 1.0):
-            raise ValueError(f"ema_momentum must lie in [0, 1), got {self.ema_momentum}")
-        self._set_whole("seed", 0)
-
-    def _set_whole(self, name: str, minimum: int) -> None:
-        """Store the field as an int; it must be a whole number >= minimum."""
-        value = whole_number(name, getattr(self, name))
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value}")
-        object.__setattr__(self, name, value)
+        set_number_fields(self)
 
 
 @dataclass(frozen=True)

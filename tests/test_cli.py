@@ -175,7 +175,7 @@ def test_synth_config_error_names_the_file(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     for payload, message in [
         ({"num_images": 4, "colour": "red"}, "unexpected keyword argument 'colour'"),
-        ({"num_images": 0}, "num_images and num_classes must be >= 1"),
+        ({"num_images": 0}, "num_images must be >= 1, got 0"),
         ({"embedding_dim": 8}, "embedding_dim must be >= 11"),
         ({"echo_bg_rate": 0.5}, "unexpected keyword argument 'echo_bg_rate'"),
         ([4, 8], "must be a mapping"),
@@ -183,6 +183,11 @@ def test_synth_config_error_names_the_file(tmp_path, capsys):
         ({"num_images": 2.5}, "num_images must be a whole number, got 2.5"),
         ({"seed": 1.5}, "seed must be a whole number, got 1.5"),
         ({"image_size": [24, 40.5]}, "image_size must be a whole number, got 40.5"),
+        # NaN or a bool for a rate and a bare number for image_size fail naming the field
+        ({"feature_noise_sigma": float("nan")},
+         "feature_noise_sigma must lie in [0, inf), got nan"),
+        ({"bias_cooccurrence": True}, "bias_cooccurrence must lie in [0, 1], got True"),
+        ({"image_size": 24}, "image_size must be two whole numbers, got 24"),
     ]:
         config_path.write_text(json.dumps(payload))
         assert main(["synth", "--out", str(tmp_path / "c"), "--config", str(config_path)]) == 1
@@ -313,7 +318,7 @@ _OUT_OF_RANGE = {
     "alpha": ["0", "1.5"],
     "threshold": ["-0.1", "1.5"],
     "epochs": ["-1"],
-    "lr": ["0"],
+    "lr": ["0", "nan", "inf"],
     "ema": ["1"],
     "seed": ["-1"],
 }

@@ -261,6 +261,9 @@ def test_centroid_set_roundtrip(tmp_path):
     assert back.selected_counts == {1: 4, 3: 2}
     for class_id in (1, 3):
         assert np.array_equal(back.per_class[class_id], cset.per_class[class_id])
+    # a count for every class with a vector and for no other, else there is nothing to write
+    with pytest.raises(ValueError, match=r"classes \[1\] != centroid classes \[1, 3\]"):
+        replace(cset, selected_counts={1: 4})
 
 
 def test_non_finite_bank_vector_is_a_format_error(tmp_path):
@@ -319,6 +322,14 @@ def _set_json(alpha=0.4, **classes):
         (
             _set_json(**{"1": {"vector": [1.0], "selected_count": 2.7}}),
             "class 1 selected_count must be a whole number, got 2.7",
+        ),
+        (
+            _set_json(**{"1": {"vector": [1.0], "selected_count": 0}}),
+            "class 1 selected_count must be >= 1, got 0",
+        ),
+        (
+            _set_json(**{"1": {"vector": [1.0], "selected_count": -3}}),
+            "class 1 selected_count must be >= 1, got -3",
         ),
         (_set_json(alpha=True), "alpha must lie in (0, 1], got True"),
         (_set_json(alpha="0.4"), "alpha must lie in (0, 1], got '0.4'"),

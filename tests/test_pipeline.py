@@ -23,6 +23,11 @@ from segdebias.trainloop import TrainConfig
         ("epochs", -1),
         ("epochs", 2.5),
         ("learning_rate", 0.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("learning_rate", True),
+        ("alpha", True),
+        ("threshold", "0.3"),
         ("ema_momentum", 1.0),
         ("seed", -1),
         ("seed", 1.5),

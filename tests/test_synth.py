@@ -138,11 +138,21 @@ def test_config_validation():
         ({"embedding_dim": "16"}, "embedding_dim must be a whole number, got '16'"),
         ({"image_size": (24, 40.5)}, "image_size must be a whole number, got 40.5"),
         ({"problematic_classes": (1.5,)}, "problematic class must be a whole number, got 1.5"),
+        # a rate is a real number in its range: no NaN, infinity or bool
+        ({"feature_noise_sigma": float("nan")},
+         "feature_noise_sigma must lie in [0, inf), got nan"),
+        ({"feature_noise_sigma": float("inf")},
+         "feature_noise_sigma must lie in [0, inf), got inf"),
+        ({"bias_cooccurrence": True}, "bias_cooccurrence must lie in [0, 1], got True"),
+        ({"image_size": 24}, "image_size must be two whole numbers, got 24"),
+        ({"image_size": (24, 40, 3)}, "image_size must be two whole numbers, got (24, 40, 3)"),
+        ({"problematic_classes": 1}, "problematic_classes must be a sequence of classes, got 1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ]:
         with pytest.raises(ValueError) as err:
             SynthConfig(**knobs)
         assert str(err.value) == message
-    whole = SynthConfig(num_classes=2.0, image_size=(24.0, 40), problematic_classes=(1.0,))
+    whole = SynthConfig(num_classes=2.0, image_size=[24.0, 40], problematic_classes=(1.0,))
     assert whole == SynthConfig(num_classes=2, problematic_classes=(1,))
     assert type(whole.num_classes) is int and type(whole.image_size[0]) is int
 

@@ -410,11 +410,15 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="non-finite loss"):
             train(manifest, debiased, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
-    def test_non_finite_update_aborts(self, tmp_path):
+    def test_non_finite_update_aborts(self, tmp_path, monkeypatch):
         manifest, features, debiased, gts = single_image(tmp_path)
-        config = TrainConfig(epochs=1, learning_rate=float("inf"))
+        # TrainConfig refuses an infinite learning rate, so the gradient is made infinite
+        gradient = tl._gradient
+        monkeypatch.setattr(
+            tl, "_gradient", lambda *args: tuple(np.full_like(g, np.inf) for g in gradient(*args))
+        )
         with pytest.raises(ValueError, match="head parameters must be finite"):
-            train(manifest, debiased, config, features=features, ground_truth=gts)
+            train(manifest, debiased, TrainConfig(epochs=1), features=features, ground_truth=gts)
 
     def test_label_shape_mismatch_rejected_before_first_step(self, tmp_path, monkeypatch):
         manifest, features, debiased, gts = single_image(tmp_path)
@@ -530,6 +534,9 @@ class TestTrain:
             TrainConfig(ema_momentum=1.0)
         with pytest.raises(ValueError):
             TrainConfig(seed=-1)
+        for rate in (float("nan"), float("inf"), True):
+            with pytest.raises(ValueError, match="learning_rate must lie in"):
+                TrainConfig(learning_rate=rate)
 
 
 def test_metrics_csv_columns(tmp_path):

@@ -1,8 +1,9 @@
 """Ground-truth selection accuracy: the exact oracle the acceptance checks use.
 
 The member pixels of each selected centroid are rebuilt by re-running the
-nearest-centroid assignment over its image's class region; a centroid is a
-hit when most of its members carry its class in ground truth.
+clustering's own nearest-centroid assignment (`bank._similarities`) over its
+image's class region; a centroid is a hit when most of its members carry its
+class in ground truth.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .bank import CentroidBank, decompose_class_vectors
+from .bank import CentroidBank, _similarities, decompose_class_vectors
 from .core import FeatureMap, LabelMap
 from .selection import score_foreground, selected_count
 
@@ -42,7 +43,7 @@ def selection_accuracy(
             label = pseudo_labels[image_id]
             vectors = decompose_class_vectors(features[image_id], label, class_id)
             matrix = np.stack([c.vector for c in siblings])
-            assign = np.argmax(np.clip(vectors @ matrix.T, -1.0, 1.0), axis=1)
+            assign = np.argmax(_similarities(vectors, matrix), axis=1)
             region_gt = ground_truth[image_id].data[label.data == class_id]
             for j, c in enumerate(siblings):
                 if c.cluster_index in indices:

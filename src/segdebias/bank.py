@@ -17,7 +17,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import DatasetManifest, FeatureMap, LabelMap, _unit_vector, check_image, unit_rows
+from .core import DatasetManifest, FeatureMap, LabelMap, _unit_vector, check_image
+from .core import number_field, set_number_fields, unit_rows, whole_number
 
 MAX_LLOYD_ITERATIONS = 100
 
@@ -44,8 +45,9 @@ class Centroid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vector", _unit_vector(self.vector, "centroid vector"))
-        if self.member_count < 1:
-            raise ValueError("member_count must be >= 1")
+        object.__setattr__(
+            self, "member_count", whole_number("member_count", self.member_count, 1)
+        )
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,11 @@ class CentroidBank:
 
     foreground: Mapping[int, tuple[Centroid, ...]]
     background: tuple[Centroid, ...]
-    k_fg: int
-    k_bg: int
+    k_fg: int = number_field(minimum=1)
+    k_bg: int = number_field(minimum=1)
 
     def __post_init__(self) -> None:
-        if self.k_fg < 1 or self.k_bg < 1:
-            raise ValueError("k_fg and k_bg must be >= 1")
+        set_number_fields(self)
         fg = {int(c): tuple(v) for c, v in self.foreground.items()}
         for class_id, centroids in fg.items():
             if class_id < 1:
@@ -180,8 +181,7 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
     if vectors.ndim != 2:
         raise ValueError("vectors must be a (n, D) matrix")
     n = vectors.shape[0]
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = whole_number("k", k, 1)
     if n == 0:
         return KMeansResult(
             centroids=np.zeros((0, vectors.shape[1])),

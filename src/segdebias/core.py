@@ -160,8 +160,7 @@ class LabelMap:
             raise ValueError(f"label map dims must be >= 1, got {data.shape}")
         if not np.issubdtype(data.dtype, np.integer):
             raise ValueError("label values must be integers")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
+        object.__setattr__(self, "num_classes", whole_number("num_classes", self.num_classes, 1))
         if data.size and (data.min() < -1 or data.max() > self.num_classes):
             raise ValueError(
                 f"label out of range: values must lie in [-1, {self.num_classes}]"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from segdebias import bank, formats
 from segdebias.bank import (
     Centroid,
+    CentroidBank,
     build_centroid_bank,
     decompose_class_vectors,
     derive_seed,
@@ -307,6 +308,18 @@ class TestKMeans:
         with pytest.raises(ValueError, match="unit-norm"):
             kmeans_spherical(np.array([[2.0, 0.0]]), 1, seed=0)
 
+    def test_k_is_a_whole_number(self):
+        vectors = np.eye(3)
+        for k, message in [
+            (1.5, "k must be a whole number, got 1.5"),
+            (True, "k must be a whole number, got True"),
+            (0, "k must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                kmeans_spherical(vectors, k, seed=0)
+            assert str(err.value) == message
+        assert kmeans_spherical(vectors, 2.0, seed=0).centroids.shape[0] == 2
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         vectors = unit_cloud(rng, np.array([0.0, 1.0]), 25, spread=0.4)
@@ -439,5 +452,25 @@ def test_centroid_validation():
             Centroid(np.array(vector), 1, "a", 0, 5)
     with pytest.raises(ValueError, match="1-D"):
         Centroid(np.array([[1.0, 0.0]]), 1, "a", 0, 5)
-    with pytest.raises(ValueError, match="member_count"):
-        Centroid(np.array([1.0, 0.0]), 1, "a", 0, 0)
+    for count, message in [
+        (0, "member_count must be >= 1, got 0"),
+        (2.5, "member_count must be a whole number, got 2.5"),
+        (True, "member_count must be a whole number, got True"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            Centroid(np.array([1.0, 0.0]), 1, "a", 0, count)
+        assert str(err.value) == message
+    assert type(Centroid(np.array([1.0, 0.0]), 1, "a", 0, 3.0).member_count) is int
+
+
+def test_bank_k_is_a_whole_number():
+    centroid = Centroid(np.array([1.0, 0.0]), 0, "a", 0, 1)
+    base = {"foreground": {}, "background": (centroid,), "k_fg": 2, "k_bg": 2}
+    for knobs, message in [
+        ({"k_fg": 1.5}, "k_fg must be a whole number, got 1.5"),
+        ({"k_bg": True}, "k_bg must be a whole number, got True"),
+        ({"k_bg": 0}, "k_bg must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            CentroidBank(**{**base, **knobs})
+        assert str(err.value) == message

@@ -206,6 +206,18 @@ class TestLabelMap:
         with pytest.raises(ValueError, match="integer"):
             LabelMap(np.array([[0.5]]), num_classes=1)
 
+    def test_num_classes_is_a_whole_number(self):
+        data = np.zeros((2, 2), dtype=np.int16)
+        for num_classes, message in [
+            (1.5, "num_classes must be a whole number, got 1.5"),
+            (True, "num_classes must be a whole number, got True"),
+            (0, "num_classes must be >= 1, got 0"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                LabelMap(data, num_classes)
+            assert str(err.value) == message
+        assert type(LabelMap(data, np.int64(2)).num_classes) is int
+
 
 class TestRecords:
     def test_truth_classes_validation(self):

@@ -74,10 +74,13 @@ def test_every_export_has_a_caller_outside_the_tests():
 
 
 def test_every_imported_name_is_read():
-    """Each module of the package reads every name it imports; the package's
-    `__init__` reads its imports by listing them in `__all__`."""
+    """Each module of the package and each script reads every name it
+    imports; the package's `__init__` reads its imports by listing them in
+    `__all__`."""
     unread = []
-    for path in sorted((ROOT / "src" / "segdebias").glob("*.py")):
+    for path in sorted((ROOT / "src" / "segdebias").glob("*.py")) + sorted(
+        (ROOT / "scripts").glob("*.py")
+    ):
         tree = ast.parse(path.read_text())
         read = {
             n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)

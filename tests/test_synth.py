@@ -63,6 +63,8 @@ def test_oracle_masks(tmp_path):
         # the mask only covers pixels the pseudo label marks as foreground
         assert np.all(rec.pseudo_label.data[mask] > 0)
         assert np.all(rec.gt.data[mask] == 0)
+        # ground truth is the pseudo label with the impostor pixels set to background
+        assert np.array_equal(rec.gt.data, np.where(mask, 0, rec.pseudo_label.data))
     # binomial sanity: planted patches over eligible (class, image) pairs
     rate = planted / eligible
     sigma = np.sqrt(config.bias_cooccurrence * (1 - config.bias_cooccurrence) / eligible)

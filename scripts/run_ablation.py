@@ -60,9 +60,13 @@ def ablate(args, corpus) -> None:
         target_total += target.sum()
         removed += ((ydb == -1) & bias).sum()
         kept += ((ydb == rec.gt.data) & target).sum()
-    print(f"debias: removed {removed}/{bias_total} biased px "
-          f"({removed / bias_total:.4f}), kept {kept}/{target_total} target px "
-          f"({kept / target_total:.4f})")
+    print(f"debias: removed {removed}/{bias_total} biased px ({_share(removed, bias_total)}), "
+          f"kept {kept}/{target_total} target px ({_share(kept, target_total)})")
+
+
+def _share(part, whole) -> str:
+    """part / whole to four places, or n/a when there is nothing to count."""
+    return f"{part / whole:.4f}" if whole else "n/a"
 
 
 if __name__ == "__main__":

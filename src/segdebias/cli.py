@@ -98,7 +98,6 @@ def _cmd_select(args) -> int:
 def _cmd_debias(args) -> int:
     manifest = formats.read_manifest(args.manifest)
     cset = formats.read_centroid_set(args.centroids)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     debiased = debias_all(
         manifest,
         formats.FeatureFiles(manifest),

@@ -11,6 +11,12 @@ Bank records: i32 class_id, u32 cluster_index, u32 member_count,
 u32 id_len, utf-8 image id, f64 vector[D].  A label directory holds one
 MARSLB01 file per image, named `<image_id>.bin`.
 
+Header fields lie in these ranges: D, channels, k_fg and k_bg in
+[1, 2^32 - 1], H and W in [1, 65535], and the bank's D and n in
+[0, 2^32 - 1] (an empty bank has D = n = 0).  A field outside its range
+fails as `dim overflow: <field>=<value> outside [<low>, <high>]` at the
+field's own offset.
+
 Readers raise FormatError naming the file and a byte offset, also for a
 value its domain type rejects (a non-unit centroid vector, a label out of
 range): that error is reported at the offset where the value's payload
@@ -25,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -41,6 +48,7 @@ MAGIC_BANK = b"MARSCB01"
 MAGIC_CHECKPOINT = b"MARSHD01"
 
 MAX_SPATIAL_DIM = 0xFFFF
+_U32_MAX = 0xFFFFFFFF
 
 
 class FormatError(ValueError):
@@ -76,10 +84,16 @@ def write_csv(path, fieldnames, rows) -> None:
 
 
 class _Reader:
-    def __init__(self, path):
+    """One binary file read front to back, opening with `magic`.  Every fault
+    raises a FormatError naming the file, at the offset of the faulty field."""
+
+    def __init__(self, path, magic: bytes):
         self.path = Path(path)
         self.blob = self.path.read_bytes()
         self.offset = 0
+        self.skip(8, "magic")
+        if self.blob[:8] != magic:
+            raise self.error(f"bad magic: expected {magic!r}, got {self.blob[:8]!r}", 0)
 
     def error(self, message: str, offset: int) -> FormatError:
         return FormatError(f"{self.path}: {message}", offset)
@@ -92,102 +106,85 @@ class _Reader:
         self.offset += n
         return start
 
-    def take(self, n: int, what: str) -> bytes:
-        start = self.skip(n, what)
-        return self.blob[start : self.offset]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def i32(self, what: str) -> int:
-        return struct.unpack("<i", self.take(4, what))[0]
-
-    def spatial(self, name: str) -> int:
-        offset = self.offset
-        value = self.u32(name)
-        if value < 1 or value > MAX_SPATIAL_DIM:
-            raise self.error(
-                f"dim overflow: {name}={value} outside [1, {MAX_SPATIAL_DIM}]", offset
-            )
+    def field(self, name: str, low: int = 1, high: int = _U32_MAX, fmt: str = "<I") -> int:
+        """The next 4-byte integer field, which must lie in [low, high]."""
+        start = self.skip(4, name)
+        (value,) = struct.unpack_from(fmt, self.blob, start)
+        if not low <= value <= high:
+            raise self.error(f"dim overflow: {name}={value} outside [{low}, {high}]", start)
         return value
 
+    def array(self, dtype: str, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """A read-only view of the next dtype × shape bytes."""
+        count = math.prod(shape)
+        start = self.skip(count * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(self.blob, dtype, count, start).reshape(shape)
+
     def make(self, offset: int, build, *args, **kwargs):
-        """build(*args, **kwargs); a ValueError it raises is reported at offset.
-        A corrupted value that overflows the type's checks fails them quietly."""
+        """build(*args, **kwargs) once the whole file is read; a ValueError it
+        raises is reported at offset.  A corrupted value that overflows the
+        type's checks fails them quietly."""
+        if self.offset != len(self.blob):
+            raise self.error(
+                f"payload length mismatch: {len(self.blob) - self.offset} trailing bytes",
+                self.offset,
+            )
         try:
             with np.errstate(over="ignore"):
                 return build(*args, **kwargs)
         except ValueError as exc:
             raise self.error(str(exc), offset) from None
 
-    def expect_magic(self, magic: bytes) -> None:
-        got = self.take(8, "magic")
-        if got != magic:
-            raise self.error(f"bad magic: expected {magic!r}, got {got!r}", 0)
 
-    def expect_end(self) -> None:
-        if self.offset != len(self.blob):
-            raise self.error(
-                f"payload length mismatch: {len(self.blob) - self.offset} trailing bytes",
-                self.offset,
-            )
+def _write(path, magic: bytes, header, *payload) -> None:
+    """magic, the header as u32s, then the payload's bytes objects and
+    C-contiguous arrays, in one atomic write."""
+    atomic_write_bytes(path, b"".join([magic, struct.pack(f"<{len(header)}I", *header), *payload]))
 
 
 # -- features ----------------------------------------------------------------
 
 def write_feature_map(path, fmap: FeatureMap) -> None:
-    d, h, w = fmap.data.shape
-    blob = MAGIC_FEATURES + struct.pack("<III", d, h, w)
-    blob += np.ascontiguousarray(fmap.data, dtype="<f4").tobytes()
-    atomic_write_bytes(path, blob)
+    _write(path, MAGIC_FEATURES, fmap.data.shape, np.ascontiguousarray(fmap.data, "<f4"))
 
 
 def read_feature_map(path) -> FeatureMap:
-    r = _Reader(path)
-    r.expect_magic(MAGIC_FEATURES)
-    d = r.u32("D")
-    if d < 1:
-        raise r.error("dim overflow: D must be >= 1", 8)
-    h = r.spatial("H")
-    w = r.spatial("W")
-    count = d * h * w
-    start = r.skip(count * 4, "feature payload")
-    r.expect_end()
-    data = np.frombuffer(r.blob, dtype="<f4", count=count, offset=start).reshape(d, h, w)
-    return r.make(20, FeatureMap, data)
+    r = _Reader(path, MAGIC_FEATURES)
+    shape = r.field("D"), r.field("H", high=MAX_SPATIAL_DIM), r.field("W", high=MAX_SPATIAL_DIM)
+    return r.make(20, FeatureMap, r.array("<f4", shape, "feature payload"))
 
 
 # -- labels -------------------------------------------------------------------
 
 def write_label_map(path, lmap: LabelMap) -> None:
-    h, w = lmap.data.shape
-    blob = MAGIC_LABELS + struct.pack("<II", h, w)
-    blob += np.ascontiguousarray(lmap.data, dtype="<i2").tobytes()
-    atomic_write_bytes(path, blob)
+    _write(path, MAGIC_LABELS, lmap.data.shape, np.ascontiguousarray(lmap.data, "<i2"))
 
 
 def read_label_map(path, num_classes: int) -> LabelMap:
-    r = _Reader(path)
-    r.expect_magic(MAGIC_LABELS)
-    h = r.spatial("H")
-    w = r.spatial("W")
-    payload = r.take(h * w * 2, "label payload")
-    r.expect_end()
-    data = np.frombuffer(payload, dtype="<i2").reshape(h, w)
-    return r.make(16, LabelMap, data, num_classes)
+    r = _Reader(path, MAGIC_LABELS)
+    shape = r.field("H", high=MAX_SPATIAL_DIM), r.field("W", high=MAX_SPATIAL_DIM)
+    return r.make(16, LabelMap, r.array("<i2", shape, "label payload"), num_classes)
 
 
 def _label_file(directory, image_id: str) -> Path:
     return Path(directory) / f"{image_id}.bin"
 
 
+def _load_labels(manifest: DatasetManifest, path_of, num_classes=None) -> dict[str, LabelMap]:
+    """By image id, the label map in `path_of(record)` for each record where
+    that is not None."""
+    num_classes = num_classes or manifest.num_classes
+    return {
+        r.image_id: read_label_map(path, num_classes)
+        for r in manifest.records
+        if (path := path_of(r)) is not None
+    }
+
+
 def read_label_dir(directory, manifest: DatasetManifest) -> dict[str, LabelMap]:
     """One label per manifest record from a label directory; a missing file
     raises FileNotFoundError naming its path."""
-    return {
-        r.image_id: read_label_map(_label_file(directory, r.image_id), manifest.num_classes)
-        for r in manifest.records
-    }
+    return _load_labels(manifest, lambda r: _label_file(directory, r.image_id))
 
 
 def write_label_dir(directory, labels: Mapping[str, LabelMap]) -> None:
@@ -206,59 +203,45 @@ def write_centroid_bank(path, bank) -> None:
     for class_id in sorted(bank.foreground):
         centroids.extend(bank.foreground[class_id])
     d = centroids[0].vector.shape[0] if centroids else 0
-    parts = [MAGIC_BANK, struct.pack("<IIII", d, bank.k_fg, bank.k_bg, len(centroids))]
+    records = []
     for c in centroids:
         ident = c.image_id.encode("utf-8")
-        parts.append(struct.pack("<iIII", c.class_id, c.cluster_index, c.member_count, len(ident)))
-        parts.append(ident)
-        parts.append(np.ascontiguousarray(c.vector, dtype="<f8").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+        records.append(struct.pack("<iIII", c.class_id, c.cluster_index, c.member_count, len(ident)))
+        records += [ident, np.ascontiguousarray(c.vector, "<f8")]
+    _write(path, MAGIC_BANK, (d, bank.k_fg, bank.k_bg, len(centroids)), *records)
 
 
 def read_centroid_bank(path):
     from .bank import Centroid, CentroidBank
 
-    r = _Reader(path)
-    r.expect_magic(MAGIC_BANK)
-    d = r.u32("D")
-    k_fg = r.u32("k_fg")
-    k_bg = r.u32("k_bg")
-    n = r.u32("count")
-    if k_fg < 1 or k_bg < 1:
-        raise r.error("dim overflow: k_fg and k_bg must be >= 1", 12)
-    background = []
-    foreground: dict[int, list[Centroid]] = {}
+    r = _Reader(path, MAGIC_BANK)
+    d, k_fg, k_bg, n = r.field("D", 0), r.field("k_fg"), r.field("k_bg"), r.field("n", 0)
+    records = []
     for _ in range(n):
         record_at = r.offset
-        class_id = r.i32("class_id")
-        cluster_index = r.u32("cluster_index")
-        member_count = r.u32("member_count")
-        id_len = r.u32("id_len")
-        id_offset = r.offset
+        record = {
+            "class_id": r.field("class_id", -(2**31), fmt="<i"),
+            "cluster_index": r.field("cluster_index", 0),
+            "member_count": r.field("member_count", 0),
+        }
+        id_offset = r.skip(r.field("id_len", 0), "image id")
         try:
-            image_id = r.take(id_len, "image id").decode("utf-8")
+            record["image_id"] = r.blob[id_offset : r.offset].decode("utf-8")
         except UnicodeDecodeError:
             raise r.error("image id is not valid utf-8", id_offset) from None
-        vec = np.frombuffer(r.take(d * 8, "centroid vector"), dtype="<f8")
-        c = r.make(
-            record_at,
-            Centroid,
-            vector=vec,
-            class_id=class_id,
-            image_id=image_id,
-            cluster_index=cluster_index,
-            member_count=member_count,
-        )
-        if class_id == 0:
-            background.append(c)
-        else:
-            foreground.setdefault(class_id, []).append(c)
-    r.expect_end()
+        record["vector"] = r.array("<f8", (d,), "centroid vector")
+        records.append((record_at, record))
+    # built once every record is read: `make` first checks for trailing bytes
+    centroids = [r.make(record_at, Centroid, **record) for record_at, record in records]
+    foreground: dict[int, list[Centroid]] = {}
+    for c in centroids:
+        if c.class_id != 0:
+            foreground.setdefault(c.class_id, []).append(c)
     return r.make(
         24,
         CentroidBank,
         foreground={k: tuple(v) for k, v in foreground.items()},
-        background=tuple(background),
+        background=tuple(c for c in centroids if c.class_id == 0),
         k_fg=k_fg,
         k_bg=k_bg,
     )
@@ -267,25 +250,17 @@ def read_centroid_bank(path):
 # -- segmentation head checkpoint ----------------------------------------------
 
 def write_checkpoint(path, head) -> None:
-    channels, d = head.weights.shape
-    blob = MAGIC_CHECKPOINT + struct.pack("<II", channels, d)
-    blob += np.ascontiguousarray(head.weights, dtype="<f8").tobytes()
-    blob += np.ascontiguousarray(head.bias, dtype="<f8").tobytes()
-    atomic_write_bytes(path, blob)
+    weights = np.ascontiguousarray(head.weights, "<f8")
+    _write(path, MAGIC_CHECKPOINT, weights.shape, weights, np.ascontiguousarray(head.bias, "<f8"))
 
 
 def read_checkpoint(path):
     from .trainloop import SegHead
 
-    r = _Reader(path)
-    r.expect_magic(MAGIC_CHECKPOINT)
-    channels = r.u32("channels")
-    d = r.u32("D")
-    if channels < 1 or d < 1:
-        raise r.error("dim overflow: channels and D must be >= 1", 8)
-    weights = np.frombuffer(r.take(channels * d * 8, "weights"), dtype="<f8").reshape(channels, d)
-    bias = np.frombuffer(r.take(channels * 8, "bias"), dtype="<f8")
-    r.expect_end()
+    r = _Reader(path, MAGIC_CHECKPOINT)
+    channels, d = r.field("channels"), r.field("D")
+    weights = r.array("<f8", (channels, d), "weights")
+    bias = r.array("<f8", (channels,), "bias")
     return r.make(16, SegHead, weights=weights, bias=bias)
 
 
@@ -412,23 +387,13 @@ def load_features(manifest: DatasetManifest) -> dict[str, FeatureMap]:
 
 
 def load_pseudo_labels(manifest: DatasetManifest) -> dict[str, LabelMap]:
-    return {
-        r.image_id: read_label_map(r.label_path, manifest.num_classes)
-        for r in manifest.records
-    }
+    return _load_labels(manifest, lambda r: r.label_path)
 
 
 def load_ground_truth(manifest: DatasetManifest) -> dict[str, LabelMap]:
-    return {
-        r.image_id: read_label_map(r.gt_path, manifest.num_classes)
-        for r in manifest.records
-        if r.gt_path is not None
-    }
+    return _load_labels(manifest, lambda r: r.gt_path)
 
 
 def load_bias_masks(manifest: DatasetManifest) -> dict[str, np.ndarray]:
-    out = {}
-    for r in manifest.records:
-        if r.bias_path is not None:
-            out[r.image_id] = read_label_map(r.bias_path, 1).data.astype(bool)
-    return out
+    masks = _load_labels(manifest, lambda r: r.bias_path, num_classes=1)
+    return {image_id: mask.data.astype(bool) for image_id, mask in masks.items()}

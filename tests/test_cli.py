@@ -375,6 +375,7 @@ def test_debias_without_centroid_is_nonzero_and_names_the_image(corpus_dir, tmp_
     err = capsys.readouterr().err
     assert f"{first.image_id}: no usable centroids" in err
     assert f"truth classes {sorted(first.truth_classes)}" in err
+    assert not (tmp_path / "debiased").exists()
 
 
 def test_debias_skipped_class_warning_names_the_image(corpus_dir, tmp_path, caplog):
@@ -429,7 +430,7 @@ def test_debias_centroid_length_mismatch_names_both_dims(corpus_dir, tmp_path, c
     err = capsys.readouterr().err
     first = manifest.records[0].image_id
     assert f"error: {first}: centroid vector length 11 != feature dim 12" in err
-    assert list((tmp_path / "debiased").iterdir()) == []
+    assert not (tmp_path / "debiased").exists()
 
 
 def test_debias_checks_the_manifest_embedding_dim(corpus_dir, tmp_path, capsys):
@@ -443,7 +444,7 @@ def test_debias_checks_the_manifest_embedding_dim(corpus_dir, tmp_path, capsys):
                  str(tmp_path / "centroids.json"), "--out", str(tmp_path / "debiased")]) == 1
     first = manifest.records[0].image_id
     assert f"error: {first}: feature dim 12 != manifest embedding_dim 13" in capsys.readouterr().err
-    assert list((tmp_path / "debiased").iterdir()) == []
+    assert not (tmp_path / "debiased").exists()
 
 
 # Runs argv[1:] with stdout closed and prints its exit code and ru_maxrss (KiB).

@@ -504,3 +504,72 @@ class TestFeatureFiles:
         message = f"{copy}: feature map contains non-finite values (byte offset 20)"
         with pytest.raises(formats.FormatError, match=re.escape(message)):
             self.stages(manifest, formats.FeatureFiles(manifest), pseudo, truth)
+
+
+_WRITERS = (
+    formats.write_feature_map,
+    formats.write_label_map,
+    formats.write_centroid_bank,
+    formats.write_checkpoint,
+)
+
+
+@pytest.mark.parametrize(
+    "which, name, offset, value, bounds",
+    [
+        (0, "D", 8, 0, "[1, 4294967295]"),
+        (0, "H", 12, 0, "[1, 65535]"),
+        (0, "H", 12, 65536, "[1, 65535]"),
+        (0, "W", 16, 0, "[1, 65535]"),
+        (0, "W", 16, 65536, "[1, 65535]"),
+        (1, "H", 8, 0, "[1, 65535]"),
+        (1, "H", 8, 65536, "[1, 65535]"),
+        (1, "W", 12, 0, "[1, 65535]"),
+        (1, "W", 12, 65536, "[1, 65535]"),
+        (2, "k_fg", 12, 0, "[1, 4294967295]"),
+        (2, "k_bg", 16, 0, "[1, 4294967295]"),
+        (3, "channels", 8, 0, "[1, 4294967295]"),
+        (3, "D", 12, 0, "[1, 4294967295]"),
+    ],
+)
+def test_header_field_out_of_range_is_reported_at_its_offset(
+    tmp_path, which, name, offset, value, bounds
+):
+    path, read = _one_of_each_format(tmp_path)[which]
+    blob = bytearray(path.read_bytes())
+    blob[offset : offset + 4] = struct.pack("<I", value)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(formats.FormatError) as err:
+        read(path)
+    message = f"{path}: dim overflow: {name}={value} outside {bounds} (byte offset {offset})"
+    assert str(err.value) == message
+    assert err.value.offset == offset
+
+
+def test_empty_bank_roundtrips(tmp_path):
+    """The one header whose fields may be 0: D = n = 0."""
+    path = tmp_path / "b.bin"
+    formats.write_centroid_bank(path, CentroidBank(foreground={}, background=(), k_fg=2, k_bg=3))
+    assert path.read_bytes() == formats.MAGIC_BANK + struct.pack("<IIII", 0, 2, 3, 0)
+    back = formats.read_centroid_bank(path)
+    assert back.foreground == {} and back.background == ()
+    assert (back.k_fg, back.k_bg) == (2, 3)
+
+
+def test_writing_what_was_read_gives_back_the_file_bytes(tiny_corpus, tmp_path):
+    files = [(path, read, write) for (path, read), write in
+             zip(_one_of_each_format(tmp_path), _WRITERS)]
+    bank = build_centroid_bank(
+        tiny_corpus.manifest, tiny_corpus.pseudo_labels(), 2, 2, 0, tiny_corpus.features()
+    )
+    formats.write_centroid_bank(tmp_path / "tiny_bank.bin", bank)
+    files.append((tmp_path / "tiny_bank.bin", formats.read_centroid_bank, _WRITERS[2]))
+    num_classes = tiny_corpus.manifest.num_classes
+    for r in tiny_corpus.manifest.records:
+        files.append((r.feature_path, formats.read_feature_map, _WRITERS[0]))
+        for labels, c in ((r.label_path, num_classes), (r.gt_path, num_classes), (r.bias_path, 1)):
+            files.append((labels, partial(formats.read_label_map, num_classes=c), _WRITERS[1]))
+    for path, read, write in files:
+        again = tmp_path / "again.bin"
+        write(again, read(path))
+        assert again.read_bytes() == path.read_bytes(), path

@@ -7,6 +7,9 @@ all of a region's sums taken as one product of its 0/1 membership matrix
 with its rows (Dhillon & Modha, 2001).  Seeding is k-means++ on squared
 cosine distance, driven by a per-(image, class) seed derived from a stable
 hash so bank contents are independent of manifest order and scheduling.
+Every cosine the k-means takes (seeding, assignment, reseeding and the
+objective) comes from one product of the rows with a contiguous centroid
+block, `_similarities`.
 """
 
 from __future__ import annotations
@@ -99,14 +102,7 @@ def decompose_class_vectors(fmap: FeatureMap, labels: LabelMap, class_id: int) -
         raise ValueError(
             f"label shape {labels.spatial_shape} != feature shape {fmap.spatial_shape}"
         )
-    mask = labels.data == class_id
-    if not mask.any():
-        return np.zeros((0, fmap.embedding_dim), dtype=np.float64)
-    return unit_rows(fmap.data[:, mask].T)
-
-
-def _distance_to(vectors: np.ndarray, center: np.ndarray) -> np.ndarray:
-    return (1.0 - np.clip(vectors @ center, -1.0, 1.0)) / 2.0
+    return unit_rows(fmap.data[:, labels.data == class_id].T)
 
 
 def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -117,7 +113,7 @@ def _kmeanspp_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.
     d2: Optional[np.ndarray] = None
     while len(chosen) < k:
         # distances to the newest seed, taken only when another seed is drawn
-        latest = _distance_to(vectors, vectors[chosen[-1]]) ** 2
+        latest = ((1.0 - _similarities(vectors, vectors[chosen[-1:]])[:, 0]) / 2.0) ** 2
         d2 = latest if d2 is None else np.minimum(d2, latest)
         total = float(d2.sum())
         if total <= 0.0:
@@ -133,11 +129,18 @@ def _similarities(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     0.3.31 a transposed block takes a slower small-matrix path: about 3x
     slower on the 64x64 maps' regions (about 1100 to 1500 rows at D=128, two
     or three centroids), 1.2x to 3x at D=16.  The two forms can round
-    differently in the last bits (a few 1e-16 here), which only the objective
-    trace sees: k-means reads the similarities through their argmax, so the
-    assignments and the centroids do not move unless two centroids tie to
-    that precision."""
+    differently in the last bits (a few 1e-16 here).  Every cosine k-means
+    takes comes from here: the assignments read their argmax, and the
+    k-means++ seeding (a one-row block), the reseeding and the objective read
+    their values.  So those bits reach the objective trace, but a seed, a
+    reseed target or an assignment moves only on a tie to that precision."""
     return np.clip(vectors @ np.ascontiguousarray(centroids.T), -1.0, 1.0)
+
+
+def _objective(sims: np.ndarray, assign: np.ndarray) -> float:
+    """Total within-cluster cosine distance of rows assigned to centroids,
+    given their similarities."""
+    return float(np.sum((1.0 - sims[np.arange(len(assign)), assign]) / 2.0))
 
 
 def _normalized_means(
@@ -197,14 +200,15 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
     centroids = _kmeanspp_init(vectors, min(k, n), rng)
     trace: list[float] = []
     prev_assign: Optional[np.ndarray] = None
-    at_fixpoint = False
 
     for _ in range(MAX_LLOYD_ITERATIONS):
         sims = _similarities(vectors, centroids)
         assign = np.argmax(sims, axis=1)
-        trace.append(float(np.sum((1.0 - sims[np.arange(n), assign]) / 2.0)))
+        trace.append(_objective(sims, assign))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
-            at_fixpoint = True
+            # `centroids` and `counts` already are the means and member counts of
+            # `assign`, and the fixpoint step's objective is theirs
+            trace.append(trace[-1])
             break
         prev_assign = assign
 
@@ -212,9 +216,7 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
         populated = counts > 0
         if not populated.all():
             keep = []
-            nearest = np.min(
-                (1.0 - np.clip(vectors @ means[populated].T, -1.0, 1.0)) / 2.0, axis=1
-            )
+            nearest = (1.0 - _similarities(vectors, means[populated]).max(axis=1)) / 2.0
             for j in np.flatnonzero(~populated):
                 far = int(np.argmax(nearest))
                 if nearest[far] <= 0.0:
@@ -226,30 +228,15 @@ def kmeans_spherical(vectors: np.ndarray, k: int, seed: int) -> KMeansResult:
             means = means[retained]
             prev_assign = None  # structure changed, fixpoint must be re-established
         centroids = means
-
-    if at_fixpoint:
-        # `centroids` and `counts` already are the means and member counts of
-        # `assign`, and the fixpoint step's objective is theirs
-        trace.append(trace[-1])
     else:
         # Consistency pass: make the returned triple coherent when the loop
-        # stopped at the iteration cap, possibly mid-restructure.
-        assign = np.argmax(_similarities(vectors, centroids), axis=1)
-        counts = np.bincount(assign, minlength=len(centroids)).astype(np.int64)
-        if not (counts > 0).all():
-            retained = np.flatnonzero(counts > 0)
-            remap = np.full(len(centroids), -1, dtype=np.int64)
-            remap[retained] = np.arange(len(retained))
-            assign = remap[assign]
-            centroids = centroids[retained]
-        centroids, counts = _normalized_means(vectors, assign, len(centroids))
-        trace.append(
-            float(
-                np.sum(
-                    (1.0 - np.clip((vectors * centroids[assign]).sum(axis=1), -1.0, 1.0)) / 2.0
-                )
-            )
+        # stopped at the iteration cap, possibly mid-restructure; clusters
+        # left empty are dropped and the rest renumbered in order.
+        retained, assign = np.unique(
+            np.argmax(_similarities(vectors, centroids), axis=1), return_inverse=True
         )
+        centroids, counts = _normalized_means(vectors, assign, len(retained))
+        trace.append(_objective(_similarities(vectors, centroids), assign))
     return KMeansResult(
         centroids=centroids,
         counts=counts,
@@ -293,8 +280,6 @@ def build_centroid_bank(
             raise ValueError(f"{record.image_id}: pseudo label must not contain -1")
         for class_id in (0,) + label.foreground_classes():
             vectors = decompose_class_vectors(fmap, label, class_id)
-            if vectors.shape[0] == 0:
-                continue
             k = k_bg if class_id == 0 else k_fg
             result = kmeans_spherical(vectors, k, derive_seed(seed, record.image_id, class_id))
             dest = background if class_id == 0 else foreground.setdefault(class_id, [])

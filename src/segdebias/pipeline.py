@@ -133,22 +133,22 @@ def sweep(
     values: Sequence[float],
     base: PipelineParams,
 ) -> list[dict]:
-    """One pipeline run per value; each row carries the final mIoU/FP/FN and
-    the mean selection accuracy over classes.  Ground truth must cover every
-    record of the manifest."""
+    """One pipeline run per value; each row carries the value as the run used
+    it (k_bg as an int), the final mIoU/FP/FN and the mean selection accuracy
+    over classes.  Ground truth must cover every record of the manifest."""
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
     require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
     # build every run's parameters first, so an invalid value fails before any run
-    runs = [(value, replace(base, **{FLAG_FIELDS[param]: value})) for value in values]
+    runs = [replace(base, **{FLAG_FIELDS[param]: value}) for value in values]
     rows = []
-    for value, params in runs:
+    for params in runs:
         result = run_pipeline(manifest, features, pseudo_labels, params, ground_truth)
         acc = selection_accuracy(result.bank, params.alpha, features, pseudo_labels, ground_truth)
         rows.append(
             {
                 "param": param,
-                "value": value,
+                "value": getattr(params, FLAG_FIELDS[param]),
                 "miou": result.report.miou,
                 "fp_rate": result.report.fp_rate,
                 "fn_rate": result.report.fn_rate,

@@ -38,7 +38,10 @@ class TestDecompose:
         rng = np.random.default_rng(0)
         fmap = random_feature_map(rng, 3, 2, 2)
         label = LabelMap(np.zeros((2, 2), dtype=np.int16), 2)
-        assert decompose_class_vectors(fmap, label, 1).shape == (0, 3)
+        vectors = decompose_class_vectors(fmap, label, 1)
+        assert vectors.shape == (0, 3)
+        assert vectors.dtype == np.float64
+        assert vectors.flags.c_contiguous
 
     def test_row_masking(self):
         fmap = FeatureMap(np.arange(1, 13, dtype=np.float32).reshape(3, 2, 2))
@@ -298,6 +301,24 @@ class TestKMeans:
         assert result.assignments.tolist() == [0] * 40
         self._assert_coherent(result)
         assert len(result.objective_trace) == 1  # no iteration, then the closing pass
+
+    def test_iteration_cap_drops_an_empty_middle_cluster(self):
+        vectors = self._two_clouds()
+
+        def seeds(vectors, k, rng):
+            # the middle seed is orthogonal to both clouds and wins no point
+            return np.vstack([vectors[0], [0.0, 0.0, 1.0], vectors[20]])
+
+        with mock.patch.object(bank, "_kmeanspp_init", seeds), mock.patch.object(
+            bank, "MAX_LLOYD_ITERATIONS", 0
+        ):
+            result = kmeans_spherical(vectors, 3, seed=0)
+        # the closing pass drops the middle cluster and renumbers the last one
+        assert result.assignments.tolist() == [0] * 20 + [1] * 20
+        self._assert_coherent(result)
+        means, _ = bank._normalized_means(vectors, result.assignments, 2)
+        assert np.array_equal(result.centroids, means)
+        assert len(result.objective_trace) == 1
 
     def test_empty_input(self):
         result = kmeans_spherical(np.zeros((0, 4)), 2, seed=0)

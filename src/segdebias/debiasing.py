@@ -78,7 +78,7 @@ def debias_image(
     threshold = real_number(f"{image_id}: threshold", threshold, **THRESHOLD_RANGE)
     check_image(record, fmap, pseudo, embedding_dim)
     if pseudo.has_sentinel():
-        raise ValueError(f"{image_id}: pseudo label must not already contain -1")
+        raise ValueError(f"{image_id}: pseudo label must not contain -1")
     for vec in centroids.per_class.values():
         if vec.shape[0] != fmap.embedding_dim:
             raise ValueError(

@@ -1,5 +1,12 @@
 """Confusion-matrix evaluation: per-class IoU, mIoU, and foreground FP/FN rates.
 
+`check_ground_truth` is the one statement of what valid ground truth is, for
+every stage that scores against it: it covers exactly the scored images, each
+map has the shape of the label it scores, and none declares more classes than
+the manifest.  `run_pipeline` and `sweep` check it against the pseudo labels
+before clustering, `train` against the debiased labels before the first step,
+and `evaluate_predictions` against the predictions.
+
 Rows index ground truth, columns predictions; gt pixels labeled -1 are
 ignored.  The FP (FN) rate is the count of foreground false positives
 (negatives) over all evaluated pixels, so both are small fractions on
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +27,7 @@ from .core import LabelMap
 __all__ = [
     "EvalReport",
     "evaluate_predictions",
-    "require_shared_ids",
+    "check_ground_truth",
     "report_text",
     "report_json",
     "per_class_fp_rows",
@@ -28,14 +35,15 @@ __all__ = [
 
 
 def _tally(gt: LabelMap, pred: LabelMap, num_classes: int) -> np.ndarray:
-    """One image's (C+1, C+1) gt/pred pixel counts; gt == -1 pixels are skipped."""
-    if gt.spatial_shape != pred.spatial_shape:
-        raise ValueError(f"gt shape {gt.spatial_shape} != pred shape {pred.spatial_shape}")
+    """One image's (C+1, C+1) gt/pred pixel counts; gt == -1 pixels are skipped.
+    The ground truth must already hold to `check_ground_truth`."""
     if pred.has_sentinel():
         raise ValueError("prediction must not contain -1")
+    if pred.num_classes > num_classes:
+        raise ValueError(
+            f"prediction num_classes {pred.num_classes} exceeds manifest num_classes {num_classes}"
+        )
     k = num_classes + 1
-    if gt.num_classes > num_classes or pred.num_classes > num_classes:
-        raise ValueError("label num_classes exceeds confusion matrix size")
     return _pair_counts(_truth_codes(gt.data, k), pred.data, k).reshape(k, k)
 
 
@@ -94,18 +102,31 @@ def _report(counts: np.ndarray) -> EvalReport:
     )
 
 
-def require_shared_ids(ground_truth: Mapping[str, LabelMap], image_ids: Iterable[str]) -> None:
-    """Raise ValueError naming the first image id that ground truth and the
-    predicted images do not share, or if they share none."""
-    unshared = sorted(set(ground_truth) ^ set(image_ids))
+def check_ground_truth(
+    ground_truth: Mapping[str, LabelMap], labels: Mapping[str, LabelMap], num_classes: int
+) -> None:
+    """The ground-truth contract: ground truth and `labels`, the labels a stage
+    scores or ties to its feature maps, share a non-empty set of image ids; each
+    ground-truth map has its label's shape; and none declares more than
+    `num_classes` classes.  A ValueError names the first image that breaks it."""
+    unshared = sorted(set(ground_truth) ^ set(labels))
     if unshared:
         lacking = "prediction" if unshared[0] in ground_truth else "ground truth"
         raise ValueError(
-            f"image ids not shared between ground truth and predictions: "
-            f"{unshared[0]} has no {lacking}"
+            f"{unshared[0]} has no {lacking}; every image id must be shared by "
+            f"ground truth and predictions"
         )
     if not ground_truth:
         raise ValueError("no image ids shared between ground truth and predictions")
+    for image_id in sorted(ground_truth):
+        gt, shape = ground_truth[image_id], labels[image_id].spatial_shape
+        if gt.spatial_shape != shape:
+            breach = f"shape {gt.spatial_shape} != label shape {shape}"
+        elif gt.num_classes > num_classes:
+            breach = f"num_classes {gt.num_classes} exceeds manifest num_classes {num_classes}"
+        else:
+            continue
+        raise ValueError(f"{image_id}: ground truth {breach}")
 
 
 def evaluate_predictions(
@@ -113,9 +134,9 @@ def evaluate_predictions(
     predictions: Mapping[str, LabelMap],
     num_classes: int,
 ) -> EvalReport:
-    """Accumulate over every image and report; both mappings must cover the
-    same non-empty set of image ids."""
-    require_shared_ids(ground_truth, predictions)
+    """Accumulate over every image and report; the ground truth must hold to
+    `check_ground_truth` against the predictions."""
+    check_ground_truth(ground_truth, predictions, num_classes)
     counts = np.zeros((num_classes + 1, num_classes + 1), dtype=np.int64)
     for image_id in sorted(ground_truth):
         try:

@@ -16,7 +16,7 @@ from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
 from .core import DatasetManifest, FeatureMap, LabelMap, number_field
 from .debiasing import THRESHOLD_RANGE, debias_image
-from .evaluation import EvalReport, require_shared_ids
+from .evaluation import EvalReport, check_ground_truth
 from .selection import ALPHA_RANGE, DebiasedCentroidSet, select_debiased
 from .trainloop import TrainConfig, TrainResult, train
 
@@ -95,9 +95,10 @@ def run_pipeline(
     ground_truth: Mapping[str, LabelMap],
 ) -> PipelineResult:
     """cluster -> select -> debias -> train; the report is train's score of
-    its final predictions.  Ground truth must cover every record."""
-    # train's score needs ground truth for every record; check it before clustering
-    require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
+    its final predictions.  The ground truth is held to
+    `evaluation.check_ground_truth` against the pseudo labels before clustering."""
+    pseudo = {r.image_id: pseudo_labels[r.image_id] for r in manifest.records}
+    check_ground_truth(ground_truth, pseudo, manifest.num_classes)
     bank = build_centroid_bank(
         manifest,
         pseudo_labels,
@@ -135,10 +136,11 @@ def sweep(
 ) -> list[dict]:
     """One pipeline run per value; each row carries the value as the run used
     it (k_bg as an int), the final mIoU/FP/FN and the mean selection accuracy
-    over classes.  Ground truth must cover every record of the manifest."""
+    over classes.  The ground truth is checked as in `run_pipeline`, before any run."""
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
-    require_shared_ids(ground_truth, (r.image_id for r in manifest.records))
+    pseudo = {r.image_id: pseudo_labels[r.image_id] for r in manifest.records}
+    check_ground_truth(ground_truth, pseudo, manifest.num_classes)
     # build every run's parameters first, so an invalid value fails before any run
     runs = [replace(base, **{FLAG_FIELDS[param]: value}) for value in values]
     rows = []

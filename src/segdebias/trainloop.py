@@ -209,18 +209,20 @@ def _targets(
     features: Mapping[str, FeatureMap],
     truth: Mapping[str, LabelMap],
 ) -> list[_Target]:
-    """Check every record, and its ground truth if there is any, once and
+    """Check every record, then its ground truth if there is any, once, and
     precompute its per-step constants.  No map is kept."""
     k = manifest.num_classes + 1
-    targets = []
     for record in manifest.records:
         if record.image_id not in debiased_labels:
             raise ValueError(f"missing debiased label for {record.image_id}")
-        fmap = features[record.image_id]
         ydb = debiased_labels[record.image_id]
-        check_image(record, fmap, ydb, manifest.embedding_dim)
-        if truth:
-            _check_truth(record.image_id, truth[record.image_id], fmap, manifest.num_classes)
+        check_image(record, features[record.image_id], ydb, manifest.embedding_dim)
+    if truth:
+        scored = {r.image_id: debiased_labels[r.image_id] for r in manifest.records}
+        evaluation.check_ground_truth(truth, scored, manifest.num_classes)
+    targets = []
+    for record in manifest.records:
+        ydb = debiased_labels[record.image_id]
         labels = ydb.data.ravel()
         targets.append(
             _Target(
@@ -234,20 +236,6 @@ def _targets(
             )
         )
     return targets
-
-
-def _check_truth(image_id: str, gt: LabelMap, fmap: FeatureMap, num_classes: int) -> None:
-    """The ground truth fits the map and the manifest's classes."""
-    if gt.spatial_shape != fmap.spatial_shape:
-        raise ValueError(
-            f"{image_id}: ground truth shape {gt.spatial_shape} != feature shape "
-            f"{fmap.spatial_shape}"
-        )
-    if gt.num_classes > num_classes:
-        raise ValueError(
-            f"{image_id}: ground truth num_classes {gt.num_classes} exceeds manifest "
-            f"num_classes {num_classes}"
-        )
 
 
 def _step(
@@ -304,17 +292,14 @@ def train(
     predictions, so with epochs == 0 the initialized head is returned
     untouched and labels them.  Unless ground truth is empty, the labels of
     pass p >= 1 score epoch p - 1 into its metrics, and the last pass's score
-    is the report; ground truth must then cover every record with a label of
-    the map's shape, and ids outside the manifest are ignored.  Each map is
+    is the report; the ground truth must then hold to
+    `evaluation.check_ground_truth` against the debiased labels, which is
+    checked after every label is checked against its map.  Each map is
     looked up epochs + 2 times: to check it, then once per pass.  So given a
     `formats.FeatureFiles` the loop holds one map at a time.
     """
     records = manifest.records
-    missing = [r.image_id for r in records if r.image_id not in ground_truth]
-    if ground_truth and missing:
-        raise ValueError(f"{missing[0]} has no ground truth; per-epoch scoring needs every record")
-    truth = {r.image_id: ground_truth[r.image_id] for r in records} if ground_truth else {}
-    targets = _targets(manifest, debiased_labels, features, truth)
+    targets = _targets(manifest, debiased_labels, features, ground_truth)
     rng = np.random.default_rng(config.seed)
     initial = SegHead.initialize(manifest.num_classes, manifest.embedding_dim, rng)
     student_w, student_b = teacher_w, teacher_b = initial.weights, initial.bias
@@ -325,7 +310,7 @@ def train(
     predictions: dict[str, LabelMap] = {}  # filled by the last pass
     for p in range(config.epochs + 1):
         stepping = p < config.epochs
-        scoring = bool(truth) and (p > 0 or not stepping)
+        scoring = bool(ground_truth) and (p > 0 or not stepping)
         order = rng.permutation(len(records)) if stepping else range(len(records))
         labeled_w, labeled_b = teacher_w, teacher_b  # the teacher epoch p - 1 ended with
         counts = np.zeros(k * k, dtype=np.int64)

@@ -415,7 +415,7 @@ class TestBuildBank:
         grid = labels["im0"].data.copy()
         grid[0, 0] = -1
         labels["im0"] = LabelMap(grid, 1)
-        with pytest.raises(ValueError, match="-1"):
+        with pytest.raises(ValueError, match="^im0: pseudo label must not contain -1$"):
             build_centroid_bank(manifest, labels, 2, 2, seed=0, features=features)
 
     def test_rejects_label_outside_truth(self, tmp_path):

@@ -348,21 +348,19 @@ def test_out_of_range_hyperparameter_flag_is_usage_error(command, flag, value, c
     assert f"--{flag}" in capsys.readouterr().err
 
 
-def test_eval_requires_ground_truth_for_every_record(corpus_dir, tmp_path, capsys):
+@pytest.mark.parametrize("bare", [slice(1, None), slice(2, 3)])
+def test_eval_requires_ground_truth_for_every_record(corpus_dir, tmp_path, capsys, bare):
     manifest = formats.read_manifest(corpus_dir / "manifest.jsonl")
     preds = tmp_path / "preds"
     for image_id, gt in formats.load_ground_truth(manifest).items():
         formats.write_label_map(preds / f"{image_id}.bin", gt)
-    first, *rest = manifest.records
-    partial = DatasetManifest(
-        records=(first, *(replace(r, gt_path=None) for r in rest)),
-        num_classes=manifest.num_classes,
-        embedding_dim=manifest.embedding_dim,
-    )
-    formats.write_manifest(tmp_path / "manifest.jsonl", partial)
+    records = list(manifest.records)
+    records[bare] = [replace(r, gt_path=None) for r in records[bare]]
+    formats.write_manifest(tmp_path / "manifest.jsonl", replace(manifest, records=tuple(records)))
     assert main(["eval", "--manifest", str(tmp_path / "manifest.jsonl"), "--pred", str(preds),
                  "--out", str(tmp_path / "report.json")]) == 1
-    assert rest[0].image_id in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {records[bare][0].image_id} has no ground truth" in err
     assert not (tmp_path / "report.json").exists()
 
 
@@ -529,7 +527,7 @@ def test_eval_prediction_shape_mismatch_names_the_image(corpus_dir, tmp_path, ca
     assert main(["eval", "--manifest", str(manifest_path), "--pred", str(preds),
                  "--out", str(tmp_path / "report.json")]) == 1
     err = capsys.readouterr().err
-    assert f"error: {record.image_id}: gt shape (12, 20) != pred shape (12, 21)" in err
+    assert f"error: {record.image_id}: ground truth shape (12, 20) != label shape (12, 21)" in err
     assert not (tmp_path / "report.json").exists()
 
 

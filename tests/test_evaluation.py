@@ -57,8 +57,19 @@ class TestAccumulate:
             _tally(gt, pred, 1)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            _tally(lmap([[0]], 1), lmap([[0, 0]], 1), 1)
+        message = r"^a: ground truth shape \(1, 1\) != label shape \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            evaluate_predictions({"a": lmap([[0]], 1)}, {"a": lmap([[0, 0]], 1)}, 1)
+
+    def test_rejects_over_classed_ground_truth(self):
+        message = "a: ground truth num_classes 2 exceeds manifest num_classes 1"
+        with pytest.raises(ValueError, match=message):
+            evaluate_predictions({"a": lmap([[0]], 2)}, {"a": lmap([[0]], 1)}, 1)
+
+    def test_rejects_prediction_class_beyond_the_matrix(self):
+        message = "a: prediction num_classes 2 exceeds manifest num_classes 1"
+        with pytest.raises(ValueError, match=message):
+            evaluate_predictions({"a": lmap([[0]], 1)}, {"a": lmap([[2]], 2)}, 1)
 
     def test_additive_and_order_independent(self):
         rng = np.random.default_rng(4)

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import pytest
 
 from segdebias import evaluation, pipeline
-from segdebias.core import DatasetManifest
+from segdebias.core import DatasetManifest, LabelMap
 from segdebias.pipeline import PipelineParams, debias_all, run_pipeline
 from segdebias.selection import DebiasedCentroidSet
 from segdebias.trainloop import TrainConfig
@@ -61,17 +61,39 @@ def _one_extra(truth):
     return {**truth, "img_9999": truth["img_0000"]}
 
 
-@pytest.mark.parametrize(
-    "ground_truth, message",
-    [(_only_first, "img_0001 has no ground truth"), (_one_extra, "img_9999 has no prediction")],
-)
+def _last_one_column_short(truth):
+    *_, (image_id, gt) = sorted(truth.items())
+    return {**truth, image_id: LabelMap(gt.data[:, :-1], gt.num_classes)}
+
+
+def _one_over_classed(truth):
+    gt = truth["img_0002"]
+    return {**truth, "img_0002": LabelMap(gt.data, gt.num_classes + 1)}
+
+
+UNFIT_GROUND_TRUTH = [
+    (_only_first, "img_0001 has no ground truth"),
+    (_one_extra, "img_9999 has no prediction"),
+    (
+        _last_one_column_short,
+        r"img_0059: ground truth shape \(24, 39\) != label shape \(24, 40\)",
+    ),
+    (_one_over_classed, "img_0002: ground truth num_classes 5 exceeds manifest num_classes 4"),
+]
+
+
+def _no_clustering(monkeypatch):
+    def build_centroid_bank(*args, **kwargs):
+        pytest.fail("clustered although ground truth does not fit the manifest")
+
+    monkeypatch.setattr(pipeline, "build_centroid_bank", build_centroid_bank)
+
+
+@pytest.mark.parametrize("ground_truth, message", UNFIT_GROUND_TRUTH)
 def test_unshared_ground_truth_fails_before_clustering(
     standard_corpus, monkeypatch, ground_truth, message
 ):
-    def build_centroid_bank(*args, **kwargs):
-        pytest.fail("clustered although ground truth does not match the manifest")
-
-    monkeypatch.setattr(pipeline, "build_centroid_bank", build_centroid_bank)
+    _no_clustering(monkeypatch)
     with pytest.raises(ValueError, match=message):
         run_pipeline(
             standard_corpus.manifest,
@@ -79,6 +101,23 @@ def test_unshared_ground_truth_fails_before_clustering(
             standard_corpus.pseudo_labels(),
             PipelineParams(),
             ground_truth(standard_corpus.ground_truth()),
+        )
+
+
+@pytest.mark.parametrize("ground_truth, message", UNFIT_GROUND_TRUTH)
+def test_sweep_checks_ground_truth_before_clustering(
+    standard_corpus, monkeypatch, ground_truth, message
+):
+    _no_clustering(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        pipeline.sweep(
+            standard_corpus.manifest,
+            standard_corpus.features(),
+            standard_corpus.pseudo_labels(),
+            ground_truth(standard_corpus.ground_truth()),
+            "alpha",
+            [0.3, 0.5],
+            PipelineParams(epochs=1),
         )
 
 

@@ -357,14 +357,11 @@ class TestTrain:
         assert set(result.predictions) == {"img"}
         assert not result.predictions["img"].has_sentinel()
 
-    def test_ground_truth_outside_the_manifest_is_ignored(self, tmp_path):
+    def test_ground_truth_outside_the_manifest_is_rejected(self, tmp_path):
         manifest, features, debiased, gts = single_image(tmp_path)
-        config = TrainConfig(epochs=2, seed=0)
         extra = {**gts, "other": gts["img"]}
-        r1 = train(manifest, debiased, config, features=features, ground_truth=gts)
-        r2 = train(manifest, debiased, config, features=features, ground_truth=extra)
-        assert r1.metrics == r2.metrics
-        assert all(m.miou is not None for m in r2.metrics)
+        with pytest.raises(ValueError, match="other has no prediction"):
+            train(manifest, debiased, TrainConfig(epochs=2), features=features, ground_truth=extra)
 
     def test_determinism(self, tmp_path):
         manifest, features, debiased, gts = single_image(tmp_path)
@@ -435,7 +432,7 @@ class TestTrain:
         [
             (
                 LabelMap(np.zeros((4, 5), dtype=np.int16), 2),
-                r"img: ground truth shape \(4, 5\) != feature shape \(4, 4\)",
+                r"img: ground truth shape \(4, 5\) != label shape \(4, 4\)",
             ),
             (
                 LabelMap(np.full((4, 4), 3, dtype=np.int16), 3),

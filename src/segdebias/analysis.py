@@ -3,7 +3,8 @@
 The member pixels of each selected centroid are rebuilt by re-running the
 clustering's own nearest-centroid assignment (`bank._similarities`) over its
 image's class region; a centroid is a hit when most of its members carry its
-class in ground truth.
+class in ground truth.  The ground truth is held to
+`evaluation.check_ground_truth` against the pseudo labels first.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import numpy as np
 
 from .bank import CentroidBank, _similarities, decompose_class_vectors
 from .core import FeatureMap, LabelMap
+from .evaluation import check_ground_truth
 from .selection import score_foreground, selected_count
 
 __all__ = ["selection_accuracy"]
@@ -27,7 +29,10 @@ def selection_accuracy(
     ground_truth: Mapping[str, LabelMap],
 ) -> dict[int, float]:
     """Per class: the fraction of selected centroids whose member pixels are
-    majority ground-truth pixels of that class."""
+    majority ground-truth pixels of that class.  The ground truth declares
+    no more classes than the pseudo labels."""
+    num_classes = max((label.num_classes for label in pseudo_labels.values()), default=0)
+    check_ground_truth(ground_truth, pseudo_labels, num_classes)
     accuracy: dict[int, float] = {}
     for class_id, scored in score_foreground(bank).items():
         take = selected_count(len(scored), alpha)

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-def unit_rows(vectors: np.ndarray) -> np.ndarray:
+def unit_rows(vectors: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """L2-normalize each row of a (n, D) matrix in float64.
 
     The norms are `np.linalg.norm(axis=-1)`'s arithmetic, and the input is
@@ -36,12 +36,14 @@ def unit_rows(vectors: np.ndarray) -> np.ndarray:
     float32 region holds one float64 (n, D) buffer at a time, not two.  With
     two, each bank build on 64x64, D=128 maps faulted its heap in again on
     every region: 100 000 to 246 000 minor page faults per 100-image bank,
-    against under 3 000 with one."""
+    against under 3 000 with one.  With `out`, a float64 array of the
+    input's shape that may be the input itself, the rows are written there
+    and no (n, D) result is allocated."""
     vectors = np.asarray(vectors)
     norms = np.sqrt(np.add.reduce(np.square(vectors, dtype=np.float64), axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise ValueError("degenerate vector: zero norm")
-    return np.divide(vectors, norms, dtype=np.float64)
+    return np.divide(vectors, norms, out=out, dtype=np.float64)
 
 
 def _is_real(value) -> bool:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import selection_accuracy
 from .bank import CentroidBank, build_centroid_bank
-from .core import DatasetManifest, FeatureMap, LabelMap, number_field
+from .core import DatasetManifest, FeatureMap, LabelMap, check_image, number_field
 from .debiasing import THRESHOLD_RANGE, debias_image
 from .evaluation import EvalReport, check_ground_truth
 from .selection import ALPHA_RANGE, DebiasedCentroidSet, select_debiased
@@ -87,6 +87,23 @@ def debias_all(
     }
 
 
+def _check_inputs(
+    manifest: DatasetManifest,
+    features: Mapping[str, FeatureMap],
+    pseudo_labels: Mapping[str, LabelMap],
+    ground_truth: Mapping[str, LabelMap],
+) -> dict[str, LabelMap]:
+    """The manifest's pseudo labels, each held to `core.check_image` against
+    its feature map before the ground truth is held to
+    `evaluation.check_ground_truth` against them, so a mis-shaped pseudo label
+    is blamed on itself.  With `formats.FeatureFiles` this reads every map."""
+    pseudo = {r.image_id: pseudo_labels[r.image_id] for r in manifest.records}
+    for r in manifest.records:
+        check_image(r, features[r.image_id], pseudo[r.image_id], manifest.embedding_dim)
+    check_ground_truth(ground_truth, pseudo, manifest.num_classes)
+    return pseudo
+
+
 def run_pipeline(
     manifest: DatasetManifest,
     features: Mapping[str, FeatureMap],
@@ -95,10 +112,8 @@ def run_pipeline(
     ground_truth: Mapping[str, LabelMap],
 ) -> PipelineResult:
     """cluster -> select -> debias -> train; the report is train's score of
-    its final predictions.  The ground truth is held to
-    `evaluation.check_ground_truth` against the pseudo labels before clustering."""
-    pseudo = {r.image_id: pseudo_labels[r.image_id] for r in manifest.records}
-    check_ground_truth(ground_truth, pseudo, manifest.num_classes)
+    its final predictions.  The inputs pass `_check_inputs` before clustering."""
+    _check_inputs(manifest, features, pseudo_labels, ground_truth)
     bank = build_centroid_bank(
         manifest,
         pseudo_labels,
@@ -136,17 +151,16 @@ def sweep(
 ) -> list[dict]:
     """One pipeline run per value; each row carries the value as the run used
     it (k_bg as an int), the final mIoU/FP/FN and the mean selection accuracy
-    over classes.  The ground truth is checked as in `run_pipeline`, before any run."""
+    over classes.  The inputs are checked as in `run_pipeline`, before any run."""
     if param not in SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
-    pseudo = {r.image_id: pseudo_labels[r.image_id] for r in manifest.records}
-    check_ground_truth(ground_truth, pseudo, manifest.num_classes)
+    pseudo = _check_inputs(manifest, features, pseudo_labels, ground_truth)
     # build every run's parameters first, so an invalid value fails before any run
     runs = [replace(base, **{FLAG_FIELDS[param]: value}) for value in values]
     rows = []
     for params in runs:
         result = run_pipeline(manifest, features, pseudo_labels, params, ground_truth)
-        acc = selection_accuracy(result.bank, params.alpha, features, pseudo_labels, ground_truth)
+        acc = selection_accuracy(result.bank, params.alpha, features, pseudo, ground_truth)
         rows.append(
             {
                 "param": param,

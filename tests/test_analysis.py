@@ -1,6 +1,7 @@
 import pytest
 
 from segdebias.analysis import selection_accuracy
+from segdebias.core import LabelMap
 from segdebias.selection import score_foreground, selected_count
 
 from conftest import centroid_quality
@@ -42,6 +43,17 @@ def test_selection_accuracy_is_per_class(standard_corpus, standard_bank):
     )
     assert set(accuracy) == set(standard_bank.foreground_classes())
     assert all(0.0 <= a <= 1.0 for a in accuracy.values())
+
+
+def test_selection_accuracy_holds_ground_truth_to_the_contract(standard_corpus, standard_bank):
+    short = {
+        image_id: LabelMap(gt.data[:, :-1], gt.num_classes)
+        for image_id, gt in standard_corpus.ground_truth().items()
+    }
+    with pytest.raises(ValueError, match=r"img_0000: ground truth shape \(24, 39\) != label shape \(24, 40\)"):
+        selection_accuracy(
+            standard_bank, 0.4, standard_corpus.features(), standard_corpus.pseudo_labels(), short
+        )
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.4, 1.0])

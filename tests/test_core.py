@@ -61,6 +61,9 @@ def test_unit_rows_match_copy_first_formula(seed, n, d, dtype):
     rows = (rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))).astype(dtype)
     copied = rows.astype(np.float64)
     assert np.array_equal(unit_rows(rows), copied / np.linalg.norm(copied, axis=-1, keepdims=True))
+    # in place, the same bits land in the input's own float64 buffer
+    assert unit_rows(copied, out=copied) is copied
+    assert np.array_equal(copied, unit_rows(rows))
 
 
 def test_cosine_distance_examples():

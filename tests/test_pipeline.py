@@ -121,6 +121,21 @@ def test_sweep_checks_ground_truth_before_clustering(
         )
 
 
+def test_short_pseudo_label_is_blamed_on_itself(standard_corpus, monkeypatch):
+    """A pseudo label one column short, beside well-shaped ground truth, fails
+    its own check against the feature map before the ground-truth check."""
+    _no_clustering(monkeypatch)
+    labels = standard_corpus.pseudo_labels()
+    short = labels["img_0003"]
+    labels["img_0003"] = LabelMap(short.data[:, :-1], short.num_classes)
+    args = standard_corpus.manifest, standard_corpus.features(), labels
+    message = r"img_0003: label shape \(24, 39\) != feature shape \(24, 40\)"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(*args, PipelineParams(), standard_corpus.ground_truth())
+    with pytest.raises(ValueError, match=message):
+        pipeline.sweep(*args, standard_corpus.ground_truth(), "alpha", [0.3], PipelineParams())
+
+
 def test_the_chain_scores_each_epoch_once(standard_corpus, monkeypatch):
     """Each epoch's teacher counts every image exactly once, the epoch's metrics
     come from those counts, and train's last epoch score is the report: no

@@ -39,3 +39,16 @@ def test_ablation_on_a_corpus_without_impostors(tmp_path, capsys):
     config = SynthConfig(num_images=10, bias_cooccurrence=0.0, detail_fraction=0.0, seed=5)
     last = _ablate_two_epochs(generate(config, tmp_path), capsys)[-1]
     assert last.startswith("debias: removed 0/0 biased px (n/a), kept "), last
+
+
+def test_synth_digest_covers_every_output():
+    digest = _script("synth_digest").digest
+    accepted = digest({"num_images": 4, "seed": 2})
+    kinds = ("bias", "features", "gt", "labels")
+    assert sorted(accepted["files"]) == sorted(
+        [f"img_{i:04d}.{kind}.bin" for i in range(4) for kind in kinds] + ["manifest.jsonl"]
+    )
+    assert sorted(accepted["arrays"]) == [f"img_{i:04d}" for i in range(4)] + ["prototypes"]
+    rejected = digest({"num_images": 2})
+    assert rejected["error"].startswith("class 1: impostor texture is not closer")
+    assert len(rejected["files"]) == 8

@@ -1,7 +1,12 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
+from segdebias import formats
 from segdebias.bank import build_centroid_bank
+from segdebias.core import FeatureMap
 from segdebias.pipeline import debias_all
 from segdebias.selection import select_debiased
 from segdebias.synth import BIAS_BLOB_FRACTION, SynthConfig, generate
@@ -159,19 +164,102 @@ def test_config_validation():
     assert type(whole.num_classes) is int and type(whole.image_size[0]) is int
 
 
-def test_manifest_readable_from_disk(tmp_path):
-    from segdebias import formats
+def _same(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    config = SynthConfig(num_images=4, seed=2)
-    corpus = generate(config, tmp_path)
+
+def test_returned_corpus_is_the_written_corpus(tmp_path):
+    """Every map generate returns is the file it wrote, read back through
+    formats, and owns its memory: a noise buffer reused across images must
+    not leak into the output."""
+    corpus = generate(SynthConfig(num_images=7, seed=2), tmp_path)
     manifest = formats.read_manifest(tmp_path / "manifest.jsonl")
-    assert len(manifest.records) == 4
+    assert manifest == corpus.manifest
     features = formats.load_features(manifest)
     labels = formats.load_pseudo_labels(manifest)
     gts = formats.load_ground_truth(manifest)
     masks = formats.load_bias_masks(manifest)
-    for rec, mem in zip(manifest.records, corpus.records):
-        assert np.array_equal(features[rec.image_id].data, mem.features.data)
-        assert np.array_equal(labels[rec.image_id].data, mem.pseudo_label.data)
-        assert np.array_equal(gts[rec.image_id].data, mem.gt.data)
-        assert np.array_equal(masks[rec.image_id], mem.biased_mask)
+    returned = []
+    for rec in corpus.records:
+        image_id = rec.image_id
+        assert _same(features[image_id].data, rec.features.data)
+        assert _same(labels[image_id].data, rec.pseudo_label.data)
+        assert _same(gts[image_id].data, rec.gt.data)
+        assert _same(masks[image_id], rec.biased_mask)
+        assert labels[image_id].num_classes == rec.pseudo_label.num_classes
+        assert gts[image_id].num_classes == rec.gt.num_classes
+        returned += [rec.features.data, rec.pseudo_label.data, rec.gt.data, rec.biased_mask]
+    assert not any(a.flags.writeable for a in returned)
+    for a, b in itertools.combinations(returned, 2):
+        assert not np.shares_memory(a, b)
+
+
+def _drawer_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("synth-drawer")]
+
+
+def _ends_its_threads(call):
+    """The exception `call` raises (None if it returns), once no thread it
+    started is left running."""
+    before = threading.active_count()
+    try:
+        call()
+        raised = None
+    except Exception as exc:
+        raised = exc
+    assert threading.active_count() == before
+    assert not _drawer_threads()
+    return raised
+
+
+def test_generate_leaves_no_thread_behind(tmp_path):
+    assert _ends_its_threads(lambda: generate(SynthConfig(num_images=5, seed=1), tmp_path / "ok")) is None
+    # a corpus of two images fails the premise check, after every file is written
+    raised = _ends_its_threads(lambda: generate(SynthConfig(num_images=2), tmp_path / "premise"))
+    assert type(raised) is ValueError
+    assert str(raised) == (
+        "class 1: impostor texture is not closer to the background population than "
+        "the class texture; adjust rates or num_images"
+    )
+
+
+def test_write_failure_reaches_the_caller_unchanged(tmp_path):
+    blocked = tmp_path / "img_0003.features.bin"
+    blocked.mkdir()
+    with pytest.raises(IsADirectoryError) as direct:
+        formats.write_feature_map(blocked, FeatureMap(np.ones((2, 1, 1))))
+    raised = _ends_its_threads(lambda: generate(SynthConfig(num_images=6, seed=4), tmp_path))
+    assert type(raised) is IsADirectoryError
+    assert (raised.errno, raised.strerror, raised.filename2) == (
+        direct.value.errno, direct.value.strerror, str(blocked)
+    )
+    assert (tmp_path / "img_0002.bias.bin").exists()
+    assert not (tmp_path / "img_0003.labels.bin").exists()
+
+
+def test_drawer_failure_reaches_the_caller_unchanged(tmp_path, monkeypatch):
+    """An error raised on the drawer thread is the one generate raises."""
+    default_rng = np.random.default_rng
+    failure = RuntimeError("noise source failed")
+
+    class FailingNoise:
+        def __init__(self, seed):
+            self.rng, self.fills = default_rng(seed), 0
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, size=None, out=None):
+            if out is not None:
+                self.fills += 1
+                if self.fills == 3:
+                    raise failure
+            return self.rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", FailingNoise)
+    raised = _ends_its_threads(lambda: generate(SynthConfig(num_images=6, seed=4), tmp_path))
+    assert raised is failure
+    assert (tmp_path / "img_0001.bias.bin").exists()
+    assert not (tmp_path / "img_0002.features.bin").exists()

@@ -9,7 +9,24 @@ from segdebias.bank import build_centroid_bank
 from segdebias.core import FeatureMap
 from segdebias.pipeline import debias_all
 from segdebias.selection import select_debiased
+from segdebias import synth
 from segdebias.synth import BIAS_BLOB_FRACTION, SynthConfig, generate
+
+
+@pytest.mark.parametrize("d", [1, 16, 37, 128])
+@pytest.mark.parametrize("blocks", ["below_one", "one", "one_and_remainder"])
+def test_channels_first_matches_the_whole_map_copy(d, blocks):
+    """The blocked float32 copy has the bytes of the one-call transpose and
+    cast, for pixel counts below, at and past one block."""
+    step = max(1, synth._BLOCK_BYTES // (8 * d))
+    h, w = {"below_one": (3, 5), "one": (1, step), "one_and_remainder": (1, step + 7)}[blocks]
+    assert h * w < step if blocks == "below_one" else h * w >= step
+    rows = np.random.default_rng(d).standard_normal((h * w, d)) * 1e3
+    data = synth._channels_first(rows, h, w)
+    expected = np.ascontiguousarray(rows.T.reshape(d, h, w), np.float32)
+    assert data.dtype == np.float32 and data.shape == (d, h, w)
+    assert data.flags.c_contiguous
+    assert data.tobytes() == expected.tobytes()
 
 
 def test_fixed_seed_is_byte_identical(tmp_path):

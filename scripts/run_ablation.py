@@ -10,6 +10,7 @@ import argparse
 import tempfile
 from dataclasses import replace
 
+from segdebias import formats
 from segdebias.analysis import selection_accuracy
 from segdebias.cli import add_param_flags, params_from_flags
 from segdebias.pipeline import run_pipeline
@@ -29,7 +30,7 @@ def main() -> None:
 
 def ablate(args, corpus) -> None:
     """Print the three rows and the stage diagnostics for one generated corpus."""
-    features = corpus.features()
+    features = formats.load_features(corpus.manifest)
     labels = corpus.pseudo_labels()
     gts = corpus.ground_truth()
 

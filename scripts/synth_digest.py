@@ -1,10 +1,12 @@
 """Digest every file `synth.generate` writes and every array it returns, on a
 fixed set of corpora, so two trees can be compared byte for byte.
 
-    PYTHONPATH=src python scripts/synth_digest.py OUT.json
+    PYTHONPATH=<tree>/src python scripts/synth_digest.py OUT.json
 
-Run it once per tree and compare the two JSON files (`cmp a.json b.json`).
-The corpora are the standard config, the `large` and `cli_files` shapes of
+Run this one script once against each tree's `src`, setting PYTHONPATH to
+that tree, and compare the two JSON files (`cmp a.json b.json`).  Each
+feature map is digested through its file's sha256: the returned corpus
+keeps no map.  The corpora are the standard config, the `large` and `cli_files` shapes of
 the benchmark on seeds 0-3, the odd configs of the roadmap and three
 corpora the generator's premise check rejects; for those the record holds
 the message and the names of the files written before it.  The digests
@@ -59,9 +61,8 @@ def digest(knobs: dict) -> dict:
             return {"error": str(exc), "files": sorted(p.name for p in Path(out).iterdir())}
         files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
     arrays = {
-        r.image_id: [_array(r.features.data), _array(r.pseudo_label.data), _array(r.gt.data),
-                     _array(r.biased_mask), r.pseudo_label.num_classes, r.gt.num_classes,
-                     sorted(r.record.truth_classes)]
+        r.image_id: [_array(r.pseudo_label.data), _array(r.gt.data), _array(r.biased_mask),
+                     r.pseudo_label.num_classes, r.gt.num_classes, sorted(r.record.truth_classes)]
         for r in corpus.records
     }
     p = corpus.prototypes

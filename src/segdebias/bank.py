@@ -24,6 +24,8 @@ from .core import DatasetManifest, FeatureMap, LabelMap, _unit_vector, check_ima
 from .core import number_field, set_number_fields, unit_rows, whole_number
 
 MAX_LLOYD_ITERATIONS = 100
+# the clusters per foreground / background region; the bank header stores each as a u32
+K_RANGE = {"minimum": 1, "maximum": 0xFFFFFFFF}
 
 __all__ = [
     "Centroid",
@@ -60,8 +62,8 @@ class CentroidBank:
 
     foreground: Mapping[int, tuple[Centroid, ...]]
     background: tuple[Centroid, ...]
-    k_fg: int = number_field(minimum=1)
-    k_bg: int = number_field(minimum=1)
+    k_fg: int = number_field(**K_RANGE)
+    k_bg: int = number_field(**K_RANGE)
 
     def __post_init__(self) -> None:
         set_number_fields(self)

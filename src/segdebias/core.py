@@ -51,14 +51,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def whole_number(name: str, value, minimum: Optional[int] = None) -> int:
-    """The value as an int, if it is a whole number of at least `minimum`.
-    A bool, a string or a fraction is refused, not cast: int() would read
-    JSON's true as 1, "12" as 12 and 2.7 as 2."""
+def whole_number(
+    name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
+    """The value as an int, if it is a whole number from `minimum` to
+    `maximum`.  A bool, a string or a fraction is refused, not cast: int()
+    would read JSON's true as 1, "12" as 12 and 2.7 as 2."""
     if not (_is_real(value) and value % 1 == 0):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be <= {maximum}, got {value!r}")
     return int(value)
 
 
@@ -80,8 +84,8 @@ def real_number(
 
 def number_field(default=MISSING, **bounds):
     """A dataclass field that set_number_fields checks: a whole number when
-    the bounds name a `minimum` (None for none), else a real number within
-    real_number's bounds."""
+    the bounds name a `minimum` (None for none) and perhaps a `maximum`, else
+    a real number within real_number's bounds."""
     return field(default=default, metadata={"bounds": bounds})
 
 

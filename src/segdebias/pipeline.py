@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .analysis import selection_accuracy
-from .bank import CentroidBank, build_centroid_bank
+from .bank import K_RANGE, CentroidBank, build_centroid_bank
 from .core import DatasetManifest, FeatureMap, LabelMap, check_image, number_field
 from .debiasing import THRESHOLD_RANGE, debias_image
 from .evaluation import EvalReport, check_ground_truth
@@ -47,8 +47,8 @@ class PipelineParams(TrainConfig):
     """Every hyperparameter of the chain with its default and its range; the
     training fields and their checks come from TrainConfig."""
 
-    k_fg: int = number_field(2, minimum=1)
-    k_bg: int = number_field(2, minimum=1)
+    k_fg: int = number_field(2, **K_RANGE)
+    k_bg: int = number_field(2, **K_RANGE)
     alpha: float = number_field(0.40, **ALPHA_RANGE)
     threshold: float = number_field(0.30, **THRESHOLD_RANGE)
 

@@ -18,7 +18,9 @@ ratios rather than by initialization noise.
 `generate` draws each image's layout and noise on one worker thread while
 the calling thread renders and writes the image before it.  The draws and
 the file writes bound `generate`; the output is byte-identical to drawing
-and rendering on one thread.
+and rendering on one thread.  It holds one image's feature map at a time:
+the maps live only in the files it writes, so its memory does not grow with
+the corpus.
 """
 
 from __future__ import annotations
@@ -116,11 +118,11 @@ class PrototypeSet:
 
 @dataclass(frozen=True)
 class SynthRecord:
-    """One generated image plus its exact oracles; `biased_mask` is the
-    read-only bool mask of the planted impostor pixels."""
+    """One generated image's record and exact oracles; `biased_mask` is the
+    read-only bool mask of the planted impostor pixels.  Its feature map is
+    only in the record's `feature_path`."""
 
     record: ImageRecord
-    features: FeatureMap
     pseudo_label: LabelMap
     gt: LabelMap
     biased_mask: np.ndarray
@@ -135,9 +137,6 @@ class SynthCorpus:
     manifest: DatasetManifest
     records: tuple[SynthRecord, ...]
     prototypes: PrototypeSet
-
-    def features(self) -> dict[str, FeatureMap]:
-        return {r.image_id: r.features for r in self.records}
 
     def pseudo_labels(self) -> dict[str, LabelMap]:
         return {r.image_id: r.pseudo_label for r in self.records}
@@ -233,29 +232,35 @@ def _cells(
 
 
 def _channels_first(rows: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The float32 (D, h, w) map of (h*w, D) float64 rows, copied one block of
-    rows at a time.  Each element rounds by itself, so the bytes equal
-    `np.ascontiguousarray(rows.T.reshape(D, h, w), np.float32)`; at 64x64,
-    D=128 the blocked copy takes about a quarter of that one's time."""
+    """The read-only float32 (D, h, w) map of (h*w, D) float64 rows, copied
+    one block of rows at a time.  Each element rounds by itself, so the bytes
+    equal `np.ascontiguousarray(rows.T.reshape(D, h, w), np.float32)`; at
+    64x64, D=128 the blocked copy takes about a quarter of that one's time."""
     n, d = rows.shape
     step = max(1, _BLOCK_BYTES // (rows.itemsize * d))
     out = np.empty((d, n), np.float32)
     for start in range(0, n, step):
         out[:, start : start + step] = rows[start : start + step].T
+    out.setflags(write=False)
     return out.reshape(d, h, w)
 
 
 def generate(config: SynthConfig, out_dir) -> SynthCorpus:
     """Build the corpus, write its files plus manifest, and return the oracles.
 
+    It holds one image at a time: each feature map is written and freed
+    before the next image is rendered.  The returned corpus keeps the labels,
+    masks and prototypes but no map; callers read the maps from the files
+    through `formats.load_features` or `formats.FeatureFiles`.
+
     A worker thread lays out image i+1 and draws its noise while this thread
-    renders image i: texture lookup, normalisation, the float32 map, the
-    premise sums and the four files.  Numpy releases the GIL while it fills
-    an array, so on two cores everything but the file writes finishes
-    inside the next image's draw.  The draws, which must run in order on one
-    thread, set the floor; the writes can hold `generate` above it.  One
-    thread at a time consumes the generator, in recipe order, so every byte
-    matches a single-threaded run."""
+    renders image i: texture lookup, normalisation, the float32 map and its
+    file, the premise sums and the three label files.  Numpy releases the GIL
+    while it fills an array, so on two cores everything but the file writes
+    finishes inside the next image's draw.  The draws, which must run in
+    order on one thread, set the floor; the writes can hold `generate` above
+    it.  One thread at a time consumes the generator, in recipe order, so
+    every byte matches a single-threaded run."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     h, w = config.image_size
@@ -336,10 +341,10 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
     bg_count = 0
     # Two noise buffers, made on this thread, used by turns: image i sums its
     # texture and noise in its own, and image i+1 is drawn into the other,
-    # which image i-1 had finished with.  Noise drawn into a fresh array on the
-    # worker, or the sum made into a fresh array per image, fragments the heap
-    # under the maps the corpus keeps: peak RSS of 100 such images 252.4 and
-    # 252.8 MB, against 248.3 MB.
+    # which image i-1 had finished with.  With the noise drawn into a fresh
+    # array on the worker and summed into another per image, the peak RSS of
+    # 100 64x64, D=128 images (seeds 801-806) is 60.5-60.9 MB, against
+    # 50.2-50.4 MB.
     sigma = config.feature_noise_sigma
     buffers = [np.empty((h * w, config.embedding_dim)) if sigma > 0.0 else None for _ in range(2)]
     # imported here, not at the top: its modules add about 0.16 MB to the
@@ -358,27 +363,25 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
             if noise is not None:
                 vectors = np.add(np.multiply(noise, sigma, out=noise), vectors, out=noise)
             unit_rows(vectors, out=vectors)
-            data = _channels_first(vectors, h, w)
-            data.setflags(write=False)
-            fmap = FeatureMap(data)
+            image_id = f"img_{i:04d}"
+            feature_path, label_path, gt_path, bias_path = (
+                out_dir / f"{image_id}.{kind}.bin" for kind in ("features", "labels", "gt", "bias")
+            )
+            # the map is written and freed here: the file is its only copy
+            formats.write_feature_map(feature_path, FeatureMap(_channels_first(vectors, h, w)))
 
             bg_vectors = vectors[pseudo.ravel() == 0]
             bg_count += bg_vectors.shape[0]
             for cls in problematic:
                 bg_sim_sums[cls][0] += float((bg_vectors @ protos.biased[cls]).sum())
                 bg_sim_sums[cls][1] += float((bg_vectors @ protos.targets[cls]).sum())
-            # freed now, not when the next image reassigns them: held across its
-            # buffers they fragment the heap under the maps the corpus keeps
-            # (peak RSS of 100 64x64, D=128 images: 261 MB with both held, 249 MB)
+            # freed now, not when the next image reassigns them: held into its
+            # render they raise the peak RSS of 100 64x64, D=128 images to
+            # 53.6-55.0 MB, against 50.2-50.4 MB
             del bg_vectors, vectors
 
-            image_id = f"img_{i:04d}"
-            feature_path, label_path, gt_path, bias_path = (
-                out_dir / f"{image_id}.{kind}.bin" for kind in ("features", "labels", "gt", "bias")
-            )
             pseudo_map = LabelMap(pseudo, config.num_classes)
             gt_map = LabelMap(gt, config.num_classes)
-            formats.write_feature_map(feature_path, fmap)
             formats.write_label_map(label_path, pseudo_map)
             formats.write_label_map(gt_path, gt_map)
             formats.write_label_map(bias_path, LabelMap(biased_mask.astype(np.int16), 1))
@@ -394,7 +397,6 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
                         gt_path=gt_path,
                         bias_path=bias_path,
                     ),
-                    features=fmap,
                     pseudo_label=pseudo_map,
                     gt=gt_map,
                     biased_mask=biased_mask,

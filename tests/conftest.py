@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from segdebias import formats
 from segdebias.bank import build_centroid_bank, decompose_class_vectors
 from segdebias.core import DatasetManifest, FeatureMap, ImageRecord
 from segdebias.pipeline import debias_all
@@ -21,7 +22,7 @@ def standard_bank(standard_corpus):
         k_fg=2,
         k_bg=2,
         seed=0,
-        features=standard_corpus.features(),
+        features=formats.load_features(standard_corpus.manifest),
     )
 
 
@@ -34,7 +35,7 @@ def standard_centroids(standard_bank):
 def standard_debiased(standard_corpus, standard_centroids):
     return debias_all(
         standard_corpus.manifest,
-        standard_corpus.features(),
+        formats.load_features(standard_corpus.manifest),
         standard_corpus.pseudo_labels(),
         standard_centroids,
         0.30,
@@ -109,8 +110,6 @@ def random_feature_map(rng, d=3, h=4, w=5) -> FeatureMap:
 
 def single_record_manifest(tmp_path, fmap, label, truth, gt=None):
     """Write one image to disk and wrap it in a manifest (for loader paths)."""
-    from segdebias import formats
-
     fpath = tmp_path / "img.features.bin"
     lpath = tmp_path / "img.labels.bin"
     formats.write_feature_map(fpath, fmap)

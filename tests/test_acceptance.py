@@ -35,9 +35,9 @@ def artifacts(tmp_path_factory):
 
     start = time.perf_counter()
     corpus = generate(SynthConfig.standard(), tmp_path_factory.mktemp("acceptance"))
+    features = formats.load_features(corpus.manifest)
     timings["corpus"] = time.perf_counter() - start
 
-    features = corpus.features()
     labels = corpus.pseudo_labels()
     gts = corpus.ground_truth()
 
@@ -70,7 +70,7 @@ def artifacts(tmp_path_factory):
     )
     bank0 = build_centroid_bank(
         corpus0.manifest, corpus0.pseudo_labels(), 2, 2, seed=0,
-        features=corpus0.features(),
+        features=formats.load_features(corpus0.manifest),
     )
     timings["sigma0"] = time.perf_counter() - start
 
@@ -99,7 +99,7 @@ def test_criterion_1_selection_accuracy(artifacts):
     accuracy0 = selection_accuracy(
         artifacts.bank0,
         ALPHA,
-        artifacts.corpus0.features(),
+        formats.load_features(artifacts.corpus0.manifest),
         artifacts.corpus0.pseudo_labels(),
         artifacts.corpus0.ground_truth(),
     )
@@ -274,7 +274,7 @@ def test_criterion_6_hyperparameter_stability(artifacts):
 def _write_pipeline_artifacts(corpus, out_dir, epochs=40):
     from segdebias.trainloop import TrainConfig, train
 
-    features = corpus.features()
+    features = formats.load_features(corpus.manifest)
     labels = corpus.pseudo_labels()
     bank = build_centroid_bank(corpus.manifest, labels, 2, 2, seed=0, features=features)
     formats.write_centroid_bank(out_dir / "bank.bin", bank)

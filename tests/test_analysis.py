@@ -1,5 +1,6 @@
 import pytest
 
+from segdebias import formats
 from segdebias.analysis import selection_accuracy
 from segdebias.core import LabelMap
 from segdebias.selection import score_foreground, selected_count
@@ -9,7 +10,10 @@ from conftest import centroid_quality
 
 def _quality(corpus, bank):
     return centroid_quality(
-        bank, corpus.features(), corpus.pseudo_labels(), corpus.ground_truth()
+        bank,
+        formats.load_features(corpus.manifest),
+        corpus.pseudo_labels(),
+        corpus.ground_truth(),
     )
 
 
@@ -37,7 +41,7 @@ def test_selection_accuracy_is_per_class(standard_corpus, standard_bank):
     accuracy = selection_accuracy(
         standard_bank,
         0.4,
-        standard_corpus.features(),
+        formats.load_features(standard_corpus.manifest),
         standard_corpus.pseudo_labels(),
         standard_corpus.ground_truth(),
     )
@@ -52,7 +56,11 @@ def test_selection_accuracy_holds_ground_truth_to_the_contract(standard_corpus, 
     }
     with pytest.raises(ValueError, match=r"img_0000: ground truth shape \(24, 39\) != label shape \(24, 40\)"):
         selection_accuracy(
-            standard_bank, 0.4, standard_corpus.features(), standard_corpus.pseudo_labels(), short
+            standard_bank,
+            0.4,
+            formats.load_features(standard_corpus.manifest),
+            standard_corpus.pseudo_labels(),
+            short,
         )
 
 
@@ -70,7 +78,7 @@ def test_selection_accuracy_matches_all_centroid_oracle(standard_corpus, standar
     accuracy = selection_accuracy(
         standard_bank,
         alpha,
-        standard_corpus.features(),
+        formats.load_features(standard_corpus.manifest),
         standard_corpus.pseudo_labels(),
         standard_corpus.ground_truth(),
     )

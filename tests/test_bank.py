@@ -451,7 +451,9 @@ class TestBuildBank:
         )
         corpus = generate(config, tmp_path)
         record = next(r for r in corpus.records if r.biased_mask.any())
-        vectors = decompose_class_vectors(record.features, record.pseudo_label, 1)
+        vectors = decompose_class_vectors(
+            formats.read_feature_map(record.record.feature_path), record.pseudo_label, 1
+        )
         result = kmeans_spherical(vectors, 2, seed=derive_seed(0, record.image_id, 1))
         planted = [corpus.prototypes.targets[1], corpus.prototypes.biased[1]]
         for proto in planted:
@@ -491,7 +493,18 @@ def test_bank_k_is_a_whole_number():
         ({"k_fg": 1.5}, "k_fg must be a whole number, got 1.5"),
         ({"k_bg": True}, "k_bg must be a whole number, got True"),
         ({"k_bg": 0}, "k_bg must be >= 1, got 0"),
+        # the bank header stores each k as a u32
+        ({"k_fg": 2**32}, "k_fg must be <= 4294967295, got 4294967296"),
+        ({"k_bg": 2**32}, "k_bg must be <= 4294967295, got 4294967296"),
     ]:
         with pytest.raises(ValueError) as err:
             CentroidBank(**{**base, **knobs})
         assert str(err.value) == message
+
+
+def test_bank_with_the_largest_k_round_trips(tmp_path):
+    centroid = Centroid(np.array([1.0, 0.0]), 0, "a", 0, 1)
+    largest = CentroidBank(foreground={}, background=(centroid,), k_fg=2**32 - 1, k_bg=2**32 - 1)
+    formats.write_centroid_bank(tmp_path / "bank.bin", largest)
+    back = formats.read_centroid_bank(tmp_path / "bank.bin")
+    assert (back.k_fg, back.k_bg) == (2**32 - 1, 2**32 - 1)

@@ -139,6 +139,16 @@ def test_sweep_rejects_fractional_kbg(corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_rejects_kbg_past_the_bank_header(corpus_dir, tmp_path, capsys):
+    assert main([
+        "sweep", "--manifest", str(corpus_dir / "manifest.jsonl"),
+        "--param", "kbg", "--values", "1,1e300",
+        "--epochs", "1", "--out", str(tmp_path / "sweep.csv"),
+    ]) == 1
+    assert "error: k_bg must be <= 4294967295, got 1e+300" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_eval_missing_prediction_is_nonzero(corpus_dir, tmp_path, capsys):
     manifest_path = corpus_dir / "manifest.jsonl"
     manifest = formats.read_manifest(manifest_path)
@@ -314,8 +324,8 @@ _COMMAND_ARGS = {
     "sweep": ["--manifest", "m.jsonl", "--param", "alpha", "--values", "0.4", "--out", "s.csv"],
 }
 _OUT_OF_RANGE = {
-    "kfg": ["0", "1.5"],
-    "kbg": ["0", "1.5"],
+    "kfg": ["0", "1.5", "4294967296"],
+    "kbg": ["0", "1.5", "4294967296"],
     "alpha": ["0", "1.5"],
     "threshold": ["-0.1", "1.5"],
     "epochs": ["-1"],

@@ -559,8 +559,9 @@ def test_empty_bank_roundtrips(tmp_path):
 def test_writing_what_was_read_gives_back_the_file_bytes(tiny_corpus, tmp_path):
     files = [(path, read, write) for (path, read), write in
              zip(_one_of_each_format(tmp_path), _WRITERS)]
+    manifest = tiny_corpus.manifest
     bank = build_centroid_bank(
-        tiny_corpus.manifest, tiny_corpus.pseudo_labels(), 2, 2, 0, tiny_corpus.features()
+        manifest, tiny_corpus.pseudo_labels(), 2, 2, 0, formats.load_features(manifest)
     )
     formats.write_centroid_bank(tmp_path / "tiny_bank.bin", bank)
     files.append((tmp_path / "tiny_bank.bin", formats.read_centroid_bank, _WRITERS[2]))

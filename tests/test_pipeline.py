@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from segdebias import evaluation, pipeline
+from segdebias import evaluation, formats, pipeline
 from segdebias.core import DatasetManifest, LabelMap
 from segdebias.pipeline import PipelineParams, debias_all, run_pipeline
 from segdebias.selection import DebiasedCentroidSet
@@ -20,6 +20,8 @@ from segdebias.trainloop import TrainConfig
         ("threshold", 1.5),
         ("k_bg", 1.5),
         ("k_fg", 0),
+        ("k_fg", 2**32),
+        ("k_bg", 1e300),
         ("epochs", -1),
         ("epochs", 2.5),
         ("learning_rate", 0.0),
@@ -97,7 +99,7 @@ def test_unshared_ground_truth_fails_before_clustering(
     with pytest.raises(ValueError, match=message):
         run_pipeline(
             standard_corpus.manifest,
-            standard_corpus.features(),
+            formats.load_features(standard_corpus.manifest),
             standard_corpus.pseudo_labels(),
             PipelineParams(),
             ground_truth(standard_corpus.ground_truth()),
@@ -112,7 +114,7 @@ def test_sweep_checks_ground_truth_before_clustering(
     with pytest.raises(ValueError, match=message):
         pipeline.sweep(
             standard_corpus.manifest,
-            standard_corpus.features(),
+            formats.load_features(standard_corpus.manifest),
             standard_corpus.pseudo_labels(),
             ground_truth(standard_corpus.ground_truth()),
             "alpha",
@@ -128,7 +130,7 @@ def test_short_pseudo_label_is_blamed_on_itself(standard_corpus, monkeypatch):
     labels = standard_corpus.pseudo_labels()
     short = labels["img_0003"]
     labels["img_0003"] = LabelMap(short.data[:, :-1], short.num_classes)
-    args = standard_corpus.manifest, standard_corpus.features(), labels
+    args = standard_corpus.manifest, formats.load_features(standard_corpus.manifest), labels
     message = r"img_0003: label shape \(24, 39\) != feature shape \(24, 40\)"
     with pytest.raises(ValueError, match=message):
         run_pipeline(*args, PipelineParams(), standard_corpus.ground_truth())
@@ -152,7 +154,7 @@ def test_the_chain_scores_each_epoch_once(standard_corpus, monkeypatch):
     monkeypatch.setattr(evaluation, "_pair_counts", tally)
     result = run_pipeline(
         manifest,
-        standard_corpus.features(),
+        formats.load_features(standard_corpus.manifest),
         standard_corpus.pseudo_labels(),
         params,
         standard_corpus.ground_truth(),
@@ -182,7 +184,7 @@ def test_debias_without_centroid_names_the_image(standard_corpus, standard_centr
     with pytest.raises(ValueError, match=re.escape(message)):
         debias_all(
             standard_corpus.manifest,
-            standard_corpus.features(),
+            formats.load_features(standard_corpus.manifest),
             standard_corpus.pseudo_labels(),
             only_1,
             0.30,
@@ -198,7 +200,7 @@ def test_skipped_class_warning_names_the_image(standard_corpus, standard_centroi
     partly = [r for r in with_1 if len(r.truth_classes) > 1]
     assert partly
     subset = DatasetManifest(with_1, manifest.num_classes, manifest.embedding_dim)
-    features, labels = standard_corpus.features(), standard_corpus.pseudo_labels()
+    features, labels = formats.load_features(manifest), standard_corpus.pseudo_labels()
     with caplog.at_level(logging.WARNING):
         debias_all(subset, features, labels, only_1, 0.30)
     warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]

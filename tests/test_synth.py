@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,10 +59,10 @@ def test_no_cooccurrence_debias_is_near_noop(tmp_path):
         num_images=10, bias_cooccurrence=0.0, detail_fraction=0.0, seed=5
     )
     corpus = generate(config, tmp_path)
-    labels = corpus.pseudo_labels()
-    bank = build_centroid_bank(corpus.manifest, labels, 2, 2, 0, features=corpus.features())
+    features, labels = formats.load_features(corpus.manifest), corpus.pseudo_labels()
+    bank = build_centroid_bank(corpus.manifest, labels, 2, 2, 0, features=features)
     centroids = select_debiased(bank, 0.40)
-    debiased = debias_all(corpus.manifest, corpus.features(), labels, centroids, 0.30)
+    debiased = debias_all(corpus.manifest, features, labels, centroids, 0.30)
     rewritten = foreground = 0
     for rec in corpus.records:
         rewritten += int((debiased[rec.image_id].data == -1).sum())
@@ -115,12 +116,13 @@ def test_prototype_separation(standard_corpus):
 
 def test_impostor_closer_to_background_population(standard_corpus):
     protos = standard_corpus.prototypes
+    features = formats.load_features(standard_corpus.manifest)
     for cls in (1, 2):
         bias_sims = []
         target_sims = []
         for rec in standard_corpus.records:
             bg = rec.pseudo_label.data == 0
-            vectors = rec.features.data[:, bg].T.astype(np.float64)
+            vectors = features[rec.image_id].data[:, bg].T.astype(np.float64)
             vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
             bias_sims.append(vectors @ protos.biased[cls])
             target_sims.append(vectors @ protos.targets[cls])
@@ -188,29 +190,42 @@ def _same(a, b) -> bool:
 
 
 def test_returned_corpus_is_the_written_corpus(tmp_path):
-    """Every map generate returns is the file it wrote, read back through
-    formats, and owns its memory: a noise buffer reused across images must
-    not leak into the output."""
+    """Every label and mask generate returns is the file it wrote, read back
+    through formats, and owns its memory."""
     corpus = generate(SynthConfig(num_images=7, seed=2), tmp_path)
     manifest = formats.read_manifest(tmp_path / "manifest.jsonl")
     assert manifest == corpus.manifest
-    features = formats.load_features(manifest)
     labels = formats.load_pseudo_labels(manifest)
     gts = formats.load_ground_truth(manifest)
     masks = formats.load_bias_masks(manifest)
     returned = []
     for rec in corpus.records:
         image_id = rec.image_id
-        assert _same(features[image_id].data, rec.features.data)
         assert _same(labels[image_id].data, rec.pseudo_label.data)
         assert _same(gts[image_id].data, rec.gt.data)
         assert _same(masks[image_id], rec.biased_mask)
         assert labels[image_id].num_classes == rec.pseudo_label.num_classes
         assert gts[image_id].num_classes == rec.gt.num_classes
-        returned += [rec.features.data, rec.pseudo_label.data, rec.gt.data, rec.biased_mask]
+        returned += [rec.pseudo_label.data, rec.gt.data, rec.biased_mask]
     assert not any(a.flags.writeable for a in returned)
     for a, b in itertools.combinations(returned, 2):
         assert not np.shares_memory(a, b)
+
+
+def test_generate_holds_one_image_at_a_time(tmp_path):
+    """Tripling the corpus moves generate's traced peak by less than one
+    64x64, D=128 feature map: no map outlives its image."""
+    peaks = []
+    for n in (8, 24):
+        config = SynthConfig(num_images=n, image_size=(64, 64), embedding_dim=128, seed=1)
+        tracemalloc.start()
+        try:
+            generate(config, tmp_path / str(n))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    one_map = 128 * 64 * 64 * 4
+    assert abs(peaks[1] - peaks[0]) <= one_map, peaks
 
 
 def _drawer_threads():

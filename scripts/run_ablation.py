@@ -31,8 +31,9 @@ def main() -> None:
 def ablate(args, corpus) -> None:
     """Print the three rows and the stage diagnostics for one generated corpus."""
     features = formats.load_features(corpus.manifest)
-    labels = corpus.pseudo_labels()
-    gts = corpus.ground_truth()
+    labels = formats.load_pseudo_labels(corpus.manifest)
+    gts = formats.load_ground_truth(corpus.manifest)
+    masks = formats.load_bias_masks(corpus.manifest)
 
     base = params_from_flags(args)
     rows = [
@@ -53,14 +54,13 @@ def ablate(args, corpus) -> None:
     print("selection accuracy per class:", {c: round(a, 3) for c, a in sorted(acc.items())})
 
     removed = kept = bias_total = target_total = 0
-    for rec in corpus.records:
-        ydb = first.debiased[rec.image_id].data
-        bias = rec.biased_mask
-        target = rec.gt.data > 0
+    for image_id, bias in masks.items():
+        ydb, gt = first.debiased[image_id].data, gts[image_id].data
+        target = gt > 0
         bias_total += bias.sum()
         target_total += target.sum()
         removed += ((ydb == -1) & bias).sum()
-        kept += ((ydb == rec.gt.data) & target).sum()
+        kept += ((ydb == gt) & target).sum()
     print(f"debias: removed {removed}/{bias_total} biased px ({_share(removed, bias_total)}), "
           f"kept {kept}/{target_total} target px ({_share(kept, target_total)})")
 

@@ -71,7 +71,7 @@ def _cmd_synth(args) -> int:
     else:
         config = SynthConfig.standard()
     corpus = generate(config, args.out)
-    print(f"wrote {len(corpus.records)} images and manifest under {args.out}")
+    print(f"wrote {len(corpus.manifest.records)} images and manifest under {args.out}")
     return 0
 
 

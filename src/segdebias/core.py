@@ -171,7 +171,10 @@ class LabelMap:
             raise ValueError(
                 f"label out of range: values must lie in [-1, {self.num_classes}]"
             )
-        object.__setattr__(self, "data", _frozen_array(data.astype(np.int16)))
+        # astype copies, so the map owns its data and freezes it in place
+        data = data.astype(np.int16)
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
 
     @property
     def spatial_shape(self) -> tuple[int, int]:

@@ -18,9 +18,10 @@ ratios rather than by initialization noise.
 `generate` draws each image's layout and noise on one worker thread while
 the calling thread renders and writes the image before it.  The draws and
 the file writes bound `generate`; the output is byte-identical to drawing
-and rendering on one thread.  It holds one image's feature map at a time:
-the maps live only in the files it writes, so its memory does not grow with
-the corpus.
+and rendering on one thread.  The files are the only copy of every
+per-pixel array: `generate` returns the manifest and the prototypes, and
+callers read maps, labels, ground truth and impostor masks through the
+`formats` loaders, so its memory grows only by the manifest's records.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from . import formats
 __all__ = [
     "SynthConfig",
     "PrototypeSet",
-    "SynthRecord",
     "SynthCorpus",
     "generate",
 ]
@@ -117,32 +117,12 @@ class PrototypeSet:
 
 
 @dataclass(frozen=True)
-class SynthRecord:
-    """One generated image's record and exact oracles; `biased_mask` is the
-    read-only bool mask of the planted impostor pixels.  Its feature map is
-    only in the record's `feature_path`."""
-
-    record: ImageRecord
-    pseudo_label: LabelMap
-    gt: LabelMap
-    biased_mask: np.ndarray
-
-    @property
-    def image_id(self) -> str:
-        return self.record.image_id
-
-
-@dataclass(frozen=True)
 class SynthCorpus:
+    """The written corpus's manifest and the prototypes, the one oracle that
+    is not in a file."""
+
     manifest: DatasetManifest
-    records: tuple[SynthRecord, ...]
     prototypes: PrototypeSet
-
-    def pseudo_labels(self) -> dict[str, LabelMap]:
-        return {r.image_id: r.pseudo_label for r in self.records}
-
-    def ground_truth(self) -> dict[str, LabelMap]:
-        return {r.image_id: r.gt for r in self.records}
 
 
 def _gram_schmidt(rows: np.ndarray) -> np.ndarray:
@@ -246,12 +226,15 @@ def _channels_first(rows: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def generate(config: SynthConfig, out_dir) -> SynthCorpus:
-    """Build the corpus, write its files plus manifest, and return the oracles.
+    """Build the corpus, write its files plus manifest, and return the
+    manifest and the prototypes.
 
-    It holds one image at a time: each feature map is written and freed
-    before the next image is rendered.  The returned corpus keeps the labels,
-    masks and prototypes but no map; callers read the maps from the files
-    through `formats.load_features` or `formats.FeatureFiles`.
+    It holds one image at a time: each image's feature map, labels and
+    impostor mask are written and freed before the next image is rendered,
+    so its memory grows only by the manifest's records.  Callers read the
+    per-pixel arrays from the files, through `formats.load_features` or
+    `formats.FeatureFiles` and `formats.load_pseudo_labels`,
+    `load_ground_truth` and `load_bias_masks`.
 
     A worker thread lays out image i+1 and draws its noise while this thread
     renders image i: texture lookup, normalisation, the float32 map and its
@@ -295,7 +278,7 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
 
     def lay_out(i: int, noise):
         """Image i's truth classes, texture indices, pseudo label, ground truth
-        and impostor mask; its noise, drawn last, fills `noise`."""
+        and 0/1 impostor mask; its noise, drawn last, fills `noise`."""
         primary = 1 + i % config.num_classes
         secondary = None
         if config.num_classes > 1 and rng.random() < config.secondary_class_rate:
@@ -305,7 +288,7 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
 
         tex_idx = np.zeros((h, w), dtype=np.int64)
         pseudo = np.zeros((h, w), dtype=np.int16)
-        biased_mask = np.zeros((h, w), dtype=bool)
+        bias = np.zeros((h, w), dtype=np.int16)
 
         for cls, rect in zip((primary, secondary), targets):
             if cls is None:
@@ -322,7 +305,7 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
                 pixels = _cells(cell, n_bias)
                 tex_idx[pixels] = bias_tex[cls]
                 pseudo[pixels] = cls  # the planted false positive
-                biased_mask[pixels] = True
+                bias[pixels] = 1
 
         # each non-truth candidate may take the next free cell of its row
         for candidates, row, count, rate, tex in background_patches:
@@ -334,17 +317,17 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
                     tex_idx[_cells(free.pop(0), count)] = tex[cls]
         if noise is not None:
             rng.standard_normal(out=noise)
-        return truth, tex_idx, pseudo, gt, biased_mask
+        return truth, tex_idx, pseudo, gt, bias
 
-    records: list[SynthRecord] = []
+    records: list[ImageRecord] = []
     bg_sim_sums = {cls: [0.0, 0.0] for cls in problematic}  # [bias_sum, target_sum]
     bg_count = 0
     # Two noise buffers, made on this thread, used by turns: image i sums its
     # texture and noise in its own, and image i+1 is drawn into the other,
     # which image i-1 had finished with.  With the noise drawn into a fresh
     # array on the worker and summed into another per image, the peak RSS of
-    # 100 64x64, D=128 images (seeds 801-806) is 60.5-60.9 MB, against
-    # 50.2-50.4 MB.
+    # 100 64x64, D=128 images (seeds 801-803) is 58.3-58.5 MB, against
+    # 48.2-48.5 MB.
     sigma = config.feature_noise_sigma
     buffers = [np.empty((h * w, config.embedding_dim)) if sigma > 0.0 else None for _ in range(2)]
     # imported here, not at the top: its modules add about 0.16 MB to the
@@ -354,7 +337,7 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
     with ThreadPoolExecutor(1, thread_name_prefix="synth-drawer") as drawer:
         next_image = drawer.submit(lay_out, 0, buffers[0])
         for i in range(config.num_images):
-            (truth, tex_idx, pseudo, gt, biased_mask), noise = next_image.result(), buffers[i % 2]
+            (truth, tex_idx, pseudo, gt, bias), noise = next_image.result(), buffers[i % 2]
             if i + 1 < config.num_images:
                 next_image = drawer.submit(lay_out, i + 1, buffers[(i + 1) % 2])
 
@@ -367,7 +350,8 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
             feature_path, label_path, gt_path, bias_path = (
                 out_dir / f"{image_id}.{kind}.bin" for kind in ("features", "labels", "gt", "bias")
             )
-            # the map is written and freed here: the file is its only copy
+            # the map is written and freed here, and the labels and mask below:
+            # the files are their only copy
             formats.write_feature_map(feature_path, FeatureMap(_channels_first(vectors, h, w)))
 
             bg_vectors = vectors[pseudo.ravel() == 0]
@@ -377,29 +361,20 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
                 bg_sim_sums[cls][1] += float((bg_vectors @ protos.targets[cls]).sum())
             # freed now, not when the next image reassigns them: held into its
             # render they raise the peak RSS of 100 64x64, D=128 images to
-            # 53.6-55.0 MB, against 50.2-50.4 MB
+            # 51.9-52.0 MB, against 48.2-48.5 MB
             del bg_vectors, vectors
 
-            pseudo_map = LabelMap(pseudo, config.num_classes)
-            gt_map = LabelMap(gt, config.num_classes)
-            formats.write_label_map(label_path, pseudo_map)
-            formats.write_label_map(gt_path, gt_map)
-            formats.write_label_map(bias_path, LabelMap(biased_mask.astype(np.int16), 1))
-
-            biased_mask.setflags(write=False)
+            formats.write_label_map(label_path, LabelMap(pseudo, config.num_classes))
+            formats.write_label_map(gt_path, LabelMap(gt, config.num_classes))
+            formats.write_label_map(bias_path, LabelMap(bias, 1))
             records.append(
-                SynthRecord(
-                    record=ImageRecord(
-                        image_id=image_id,
-                        feature_path=feature_path,
-                        label_path=label_path,
-                        truth_classes=frozenset(truth),
-                        gt_path=gt_path,
-                        bias_path=bias_path,
-                    ),
-                    pseudo_label=pseudo_map,
-                    gt=gt_map,
-                    biased_mask=biased_mask,
+                ImageRecord(
+                    image_id=image_id,
+                    feature_path=feature_path,
+                    label_path=label_path,
+                    truth_classes=frozenset(truth),
+                    gt_path=gt_path,
+                    bias_path=bias_path,
                 )
             )
 
@@ -416,9 +391,9 @@ def generate(config: SynthConfig, out_dir) -> SynthCorpus:
             )
 
     manifest = DatasetManifest(
-        records=tuple(r.record for r in records),
+        records=tuple(records),
         num_classes=config.num_classes,
         embedding_dim=config.embedding_dim,
     )
     formats.write_manifest(out_dir / "manifest.jsonl", manifest)
-    return SynthCorpus(manifest=manifest, records=tuple(records), prototypes=protos)
+    return SynthCorpus(manifest=manifest, prototypes=protos)

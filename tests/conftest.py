@@ -18,7 +18,7 @@ def standard_corpus(tmp_path_factory):
 def standard_bank(standard_corpus):
     return build_centroid_bank(
         standard_corpus.manifest,
-        standard_corpus.pseudo_labels(),
+        formats.load_pseudo_labels(standard_corpus.manifest),
         k_fg=2,
         k_bg=2,
         seed=0,
@@ -36,7 +36,7 @@ def standard_debiased(standard_corpus, standard_centroids):
     return debias_all(
         standard_corpus.manifest,
         formats.load_features(standard_corpus.manifest),
-        standard_corpus.pseudo_labels(),
+        formats.load_pseudo_labels(standard_corpus.manifest),
         standard_centroids,
         0.30,
     )

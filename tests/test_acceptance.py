@@ -36,10 +36,10 @@ def artifacts(tmp_path_factory):
     start = time.perf_counter()
     corpus = generate(SynthConfig.standard(), tmp_path_factory.mktemp("acceptance"))
     features = formats.load_features(corpus.manifest)
+    labels = formats.load_pseudo_labels(corpus.manifest)
+    gts = formats.load_ground_truth(corpus.manifest)
+    masks = formats.load_bias_masks(corpus.manifest)
     timings["corpus"] = time.perf_counter() - start
-
-    labels = corpus.pseudo_labels()
-    gts = corpus.ground_truth()
 
     start = time.perf_counter()
     bank = build_centroid_bank(corpus.manifest, labels, 2, 2, seed=0, features=features)
@@ -69,7 +69,7 @@ def artifacts(tmp_path_factory):
         tmp_path_factory.mktemp("acceptance_sigma0"),
     )
     bank0 = build_centroid_bank(
-        corpus0.manifest, corpus0.pseudo_labels(), 2, 2, seed=0,
+        corpus0.manifest, formats.load_pseudo_labels(corpus0.manifest), 2, 2, seed=0,
         features=formats.load_features(corpus0.manifest),
     )
     timings["sigma0"] = time.perf_counter() - start
@@ -79,6 +79,7 @@ def artifacts(tmp_path_factory):
         features=features,
         labels=labels,
         gts=gts,
+        masks=masks,
         bank=bank,
         centroids=centroids,
         debiased=debiased,
@@ -100,8 +101,8 @@ def test_criterion_1_selection_accuracy(artifacts):
         artifacts.bank0,
         ALPHA,
         formats.load_features(artifacts.corpus0.manifest),
-        artifacts.corpus0.pseudo_labels(),
-        artifacts.corpus0.ground_truth(),
+        formats.load_pseudo_labels(artifacts.corpus0.manifest),
+        formats.load_ground_truth(artifacts.corpus0.manifest),
     )
     for cls in SynthConfig.standard().problematic_classes:
         assert accuracy0[cls] == 1.0, f"class {cls}: sigma=0 accuracy {accuracy0[cls]}"
@@ -123,14 +124,13 @@ def test_criterion_1_selection_accuracy(artifacts):
 def test_criterion_2_debias_precision_recall(artifacts):
     start = time.perf_counter()
     removed = kept = bias_total = target_total = 0
-    for rec in artifacts.corpus.records:
-        ydb = artifacts.debiased[rec.image_id].data
-        bias = rec.biased_mask
-        target = rec.gt.data > 0
+    for image_id, bias in artifacts.masks.items():
+        ydb, gt = artifacts.debiased[image_id].data, artifacts.gts[image_id].data
+        target = gt > 0
         bias_total += int(bias.sum())
         target_total += int(target.sum())
         removed += int(((ydb == -1) & bias).sum())
-        kept += int(((ydb == rec.gt.data) & target).sum())
+        kept += int(((ydb == gt) & target).sum())
     removal = removed / bias_total
     retention = kept / target_total
     assert removal >= 0.95, f"biased-pixel removal {removal:.4f}"
@@ -275,7 +275,7 @@ def _write_pipeline_artifacts(corpus, out_dir, epochs=40):
     from segdebias.trainloop import TrainConfig, train
 
     features = formats.load_features(corpus.manifest)
-    labels = corpus.pseudo_labels()
+    labels = formats.load_pseudo_labels(corpus.manifest)
     bank = build_centroid_bank(corpus.manifest, labels, 2, 2, seed=0, features=features)
     formats.write_centroid_bank(out_dir / "bank.bin", bank)
     centroids = select_debiased(bank, ALPHA)
@@ -288,7 +288,7 @@ def _write_pipeline_artifacts(corpus, out_dir, epochs=40):
         debiased,
         TrainConfig(epochs=epochs, seed=0),
         features=features,
-        ground_truth=corpus.ground_truth(),
+        ground_truth=formats.load_ground_truth(corpus.manifest),
     )
     formats.write_checkpoint(out_dir / "head.bin", result.teacher)
 

@@ -12,8 +12,8 @@ def _quality(corpus, bank):
     return centroid_quality(
         bank,
         formats.load_features(corpus.manifest),
-        corpus.pseudo_labels(),
-        corpus.ground_truth(),
+        formats.load_pseudo_labels(corpus.manifest),
+        formats.load_ground_truth(corpus.manifest),
     )
 
 
@@ -42,8 +42,8 @@ def test_selection_accuracy_is_per_class(standard_corpus, standard_bank):
         standard_bank,
         0.4,
         formats.load_features(standard_corpus.manifest),
-        standard_corpus.pseudo_labels(),
-        standard_corpus.ground_truth(),
+        formats.load_pseudo_labels(standard_corpus.manifest),
+        formats.load_ground_truth(standard_corpus.manifest),
     )
     assert set(accuracy) == set(standard_bank.foreground_classes())
     assert all(0.0 <= a <= 1.0 for a in accuracy.values())
@@ -52,14 +52,14 @@ def test_selection_accuracy_is_per_class(standard_corpus, standard_bank):
 def test_selection_accuracy_holds_ground_truth_to_the_contract(standard_corpus, standard_bank):
     short = {
         image_id: LabelMap(gt.data[:, :-1], gt.num_classes)
-        for image_id, gt in standard_corpus.ground_truth().items()
+        for image_id, gt in formats.load_ground_truth(standard_corpus.manifest).items()
     }
     with pytest.raises(ValueError, match=r"img_0000: ground truth shape \(24, 39\) != label shape \(24, 40\)"):
         selection_accuracy(
             standard_bank,
             0.4,
             formats.load_features(standard_corpus.manifest),
-            standard_corpus.pseudo_labels(),
+            formats.load_pseudo_labels(standard_corpus.manifest),
             short,
         )
 
@@ -79,7 +79,7 @@ def test_selection_accuracy_matches_all_centroid_oracle(standard_corpus, standar
         standard_bank,
         alpha,
         formats.load_features(standard_corpus.manifest),
-        standard_corpus.pseudo_labels(),
-        standard_corpus.ground_truth(),
+        formats.load_pseudo_labels(standard_corpus.manifest),
+        formats.load_ground_truth(standard_corpus.manifest),
     )
     assert accuracy == expected

@@ -450,9 +450,12 @@ class TestBuildBank:
             seed=3,
         )
         corpus = generate(config, tmp_path)
-        record = next(r for r in corpus.records if r.biased_mask.any())
+        masks = formats.load_bias_masks(corpus.manifest)
+        record = next(r for r in corpus.manifest.records if masks[r.image_id].any())
         vectors = decompose_class_vectors(
-            formats.read_feature_map(record.record.feature_path), record.pseudo_label, 1
+            formats.read_feature_map(record.feature_path),
+            formats.load_pseudo_labels(corpus.manifest)[record.image_id],
+            1,
         )
         result = kmeans_spherical(vectors, 2, seed=derive_seed(0, record.image_id, 1))
         planted = [corpus.prototypes.targets[1], corpus.prototypes.biased[1]]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -220,6 +222,23 @@ class TestLabelMap:
                 LabelMap(data, num_classes)
             assert str(err.value) == message
         assert type(LabelMap(data, np.int64(2)).num_classes) is int
+
+    @pytest.mark.parametrize("writeable", [True, False])
+    def test_copies_its_input_once(self, writeable):
+        """The map owns a read-only int16 copy of its input, made in one step:
+        for a 512 KiB label the traced peak is one copy, not two."""
+        data = np.ones((512, 512), dtype=np.int16)
+        data.setflags(write=writeable)
+        tracemalloc.start()
+        try:
+            lmap = LabelMap(data, num_classes=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lmap.data.flags.owndata and not lmap.data.flags.writeable
+        assert not np.shares_memory(lmap.data, data)
+        assert np.array_equal(lmap.data, data)
+        assert data.nbytes <= peak < 1.5 * data.nbytes, peak
 
 
 class TestRecords:

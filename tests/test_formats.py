@@ -423,7 +423,7 @@ class TestFeatureFiles:
 
     def test_same_results_as_the_resident_maps(self, tiny_corpus, tmp_path):
         manifest = tiny_corpus.manifest
-        pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
+        pseudo, truth = formats.load_pseudo_labels(manifest), formats.load_ground_truth(manifest)
         lazy = formats.FeatureFiles(manifest)
         assert list(lazy) == [r.image_id for r in manifest.records]
         bank, result = self.stages(manifest, lazy, pseudo, truth)
@@ -461,7 +461,7 @@ class TestFeatureFiles:
 
         monkeypatch.setattr(formats, "read_feature_map", tracked)
         lazy = formats.FeatureFiles(manifest)
-        pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
+        pseudo, truth = formats.load_pseudo_labels(manifest), formats.load_ground_truth(manifest)
         n = len(manifest.records)
 
         bank, reads, alive = reads_and_most_alive(
@@ -488,7 +488,8 @@ class TestFeatureFiles:
         records = list(manifest.records)
         records[2] = replace(records[2], feature_path=copy)
         manifest = replace(manifest, records=tuple(records))
-        pseudo, truth = tiny_corpus.pseudo_labels(), tiny_corpus.ground_truth()
+        pseudo = formats.load_pseudo_labels(tiny_corpus.manifest)
+        truth = formats.load_ground_truth(tiny_corpus.manifest)
         step, steps = tl._step, [0]
 
         def corrupt_after_first_epoch(*args):
@@ -561,7 +562,7 @@ def test_writing_what_was_read_gives_back_the_file_bytes(tiny_corpus, tmp_path):
              zip(_one_of_each_format(tmp_path), _WRITERS)]
     manifest = tiny_corpus.manifest
     bank = build_centroid_bank(
-        manifest, tiny_corpus.pseudo_labels(), 2, 2, 0, formats.load_features(manifest)
+        manifest, formats.load_pseudo_labels(manifest), 2, 2, 0, formats.load_features(manifest)
     )
     formats.write_centroid_bank(tmp_path / "tiny_bank.bin", bank)
     files.append((tmp_path / "tiny_bank.bin", formats.read_centroid_bank, _WRITERS[2]))

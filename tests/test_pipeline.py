@@ -100,9 +100,9 @@ def test_unshared_ground_truth_fails_before_clustering(
         run_pipeline(
             standard_corpus.manifest,
             formats.load_features(standard_corpus.manifest),
-            standard_corpus.pseudo_labels(),
+            formats.load_pseudo_labels(standard_corpus.manifest),
             PipelineParams(),
-            ground_truth(standard_corpus.ground_truth()),
+            ground_truth(formats.load_ground_truth(standard_corpus.manifest)),
         )
 
 
@@ -115,8 +115,8 @@ def test_sweep_checks_ground_truth_before_clustering(
         pipeline.sweep(
             standard_corpus.manifest,
             formats.load_features(standard_corpus.manifest),
-            standard_corpus.pseudo_labels(),
-            ground_truth(standard_corpus.ground_truth()),
+            formats.load_pseudo_labels(standard_corpus.manifest),
+            ground_truth(formats.load_ground_truth(standard_corpus.manifest)),
             "alpha",
             [0.3, 0.5],
             PipelineParams(epochs=1),
@@ -127,15 +127,16 @@ def test_short_pseudo_label_is_blamed_on_itself(standard_corpus, monkeypatch):
     """A pseudo label one column short, beside well-shaped ground truth, fails
     its own check against the feature map before the ground-truth check."""
     _no_clustering(monkeypatch)
-    labels = standard_corpus.pseudo_labels()
+    labels = formats.load_pseudo_labels(standard_corpus.manifest)
     short = labels["img_0003"]
     labels["img_0003"] = LabelMap(short.data[:, :-1], short.num_classes)
     args = standard_corpus.manifest, formats.load_features(standard_corpus.manifest), labels
+    truth = formats.load_ground_truth(standard_corpus.manifest)
     message = r"img_0003: label shape \(24, 39\) != feature shape \(24, 40\)"
     with pytest.raises(ValueError, match=message):
-        run_pipeline(*args, PipelineParams(), standard_corpus.ground_truth())
+        run_pipeline(*args, PipelineParams(), truth)
     with pytest.raises(ValueError, match=message):
-        pipeline.sweep(*args, standard_corpus.ground_truth(), "alpha", [0.3], PipelineParams())
+        pipeline.sweep(*args, truth, "alpha", [0.3], PipelineParams())
 
 
 def test_the_chain_scores_each_epoch_once(standard_corpus, monkeypatch):
@@ -154,10 +155,10 @@ def test_the_chain_scores_each_epoch_once(standard_corpus, monkeypatch):
     monkeypatch.setattr(evaluation, "_pair_counts", tally)
     result = run_pipeline(
         manifest,
-        formats.load_features(standard_corpus.manifest),
-        standard_corpus.pseudo_labels(),
+        formats.load_features(manifest),
+        formats.load_pseudo_labels(manifest),
         params,
-        standard_corpus.ground_truth(),
+        formats.load_ground_truth(manifest),
     )
     n, k = len(manifest.records), manifest.num_classes + 1
     assert len(calls) == params.epochs * n
@@ -185,7 +186,7 @@ def test_debias_without_centroid_names_the_image(standard_corpus, standard_centr
         debias_all(
             standard_corpus.manifest,
             formats.load_features(standard_corpus.manifest),
-            standard_corpus.pseudo_labels(),
+            formats.load_pseudo_labels(standard_corpus.manifest),
             only_1,
             0.30,
         )
@@ -200,7 +201,7 @@ def test_skipped_class_warning_names_the_image(standard_corpus, standard_centroi
     partly = [r for r in with_1 if len(r.truth_classes) > 1]
     assert partly
     subset = DatasetManifest(with_1, manifest.num_classes, manifest.embedding_dim)
-    features, labels = formats.load_features(manifest), standard_corpus.pseudo_labels()
+    features, labels = formats.load_features(manifest), formats.load_pseudo_labels(manifest)
     with caplog.at_level(logging.WARNING):
         debias_all(subset, features, labels, only_1, 0.30)
     warnings = [rec.getMessage() for rec in caplog.records if rec.levelno == logging.WARNING]

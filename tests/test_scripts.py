@@ -51,10 +51,39 @@ def test_synth_digest_covers_every_output():
     assert sorted(accepted["files"]) == sorted(
         [f"img_{i:04d}.{kind}.bin" for i in range(4) for kind in kinds] + ["manifest.jsonl"]
     )
-    assert sorted(accepted["arrays"]) == [f"img_{i:04d}" for i in range(4)] + ["prototypes"]
+    assert sorted(accepted) == ["files", "prototypes"]
     rejected = digest({"num_images": 2})
     assert rejected["error"].startswith("class 1: impostor texture is not closer")
-    assert len(rejected["files"]) == 8
+    assert sorted(rejected) == ["error", "files"] and len(rejected["files"]) == 8
+
+
+def test_synth_digest_verify_names_every_file_that_differs(tmp_path, monkeypatch, capsys):
+    script = _script("synth_digest")
+    monkeypatch.setattr(script, "CONFIGS", {"accepted": {"num_images": 4, "seed": 2},
+                                            "rejected": {"num_images": 2}})
+    ref = tmp_path / "ref.json"
+    assert script.main([str(ref)]) == 0
+    assert script.main(["--verify", str(ref)]) == 0
+    assert capsys.readouterr().out == f"all 2 configs match {ref}\n"
+
+    record = json.loads(ref.read_text())
+    corpora = record["corpora"]
+    corpora["accepted"]["files"]["img_0001.gt.bin"] = "0" * 64
+    corpora["rejected"]["files"]["img_0000.features.bin"] = "0" * 64
+    del corpora["accepted"]["files"]["manifest.jsonl"]
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps(record))
+    assert script.main(["--verify", str(moved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "accepted: img_0001.gt.bin differs",
+        "accepted: manifest.jsonl only in this tree",
+        "rejected: img_0000.features.bin differs",
+    ]
+
+    record["platform"]["numpy"] = "0.0"
+    moved.write_text(json.dumps(record))
+    assert script.main(["--verify", str(moved)]) == 0
+    assert capsys.readouterr().out.startswith("different platform, not compared")
 
 
 def test_bench_pairs_summary_applies_the_claim_rule():

@@ -1,4 +1,3 @@
-import itertools
 import threading
 import tracemalloc
 
@@ -34,10 +33,10 @@ def test_fixed_seed_is_byte_identical(tmp_path):
     config = SynthConfig(num_images=6, seed=19)
     corpus_a = generate(config, tmp_path / "a")
     corpus_b = generate(config, tmp_path / "b")
-    for rec_a, rec_b in zip(corpus_a.records, corpus_b.records):
+    for rec_a, rec_b in zip(corpus_a.manifest.records, corpus_b.manifest.records):
         for attr in ("feature_path", "label_path", "gt_path", "bias_path"):
-            blob_a = getattr(rec_a.record, attr).read_bytes()
-            blob_b = getattr(rec_b.record, attr).read_bytes()
+            blob_a = getattr(rec_a, attr).read_bytes()
+            blob_b = getattr(rec_b, attr).read_bytes()
             assert blob_a == blob_b
     manifest_a = (tmp_path / "a" / "manifest.jsonl").read_text()
     manifest_b = (tmp_path / "b" / "manifest.jsonl").read_text()
@@ -48,10 +47,11 @@ def test_no_cooccurrence_means_pseudo_equals_gt(tmp_path):
     config = SynthConfig(
         num_images=10, bias_cooccurrence=0.0, detail_fraction=0.0, seed=5
     )
-    corpus = generate(config, tmp_path)
-    for rec in corpus.records:
-        assert np.array_equal(rec.pseudo_label.data, rec.gt.data)
-        assert not rec.biased_mask.any()
+    manifest = generate(config, tmp_path).manifest
+    gts = formats.load_ground_truth(manifest)
+    for image_id, label in formats.load_pseudo_labels(manifest).items():
+        assert np.array_equal(label.data, gts[image_id].data)
+    assert not any(mask.any() for mask in formats.load_bias_masks(manifest).values())
 
 
 def test_no_cooccurrence_debias_is_near_noop(tmp_path):
@@ -59,35 +59,37 @@ def test_no_cooccurrence_debias_is_near_noop(tmp_path):
         num_images=10, bias_cooccurrence=0.0, detail_fraction=0.0, seed=5
     )
     corpus = generate(config, tmp_path)
-    features, labels = formats.load_features(corpus.manifest), corpus.pseudo_labels()
+    features, labels = formats.load_features(corpus.manifest), formats.load_pseudo_labels(corpus.manifest)
     bank = build_centroid_bank(corpus.manifest, labels, 2, 2, 0, features=features)
     centroids = select_debiased(bank, 0.40)
     debiased = debias_all(corpus.manifest, features, labels, centroids, 0.30)
     rewritten = foreground = 0
-    for rec in corpus.records:
-        rewritten += int((debiased[rec.image_id].data == -1).sum())
-        foreground += int((rec.pseudo_label.data > 0).sum())
+    for image_id, label in labels.items():
+        rewritten += int((debiased[image_id].data == -1).sum())
+        foreground += int((label.data > 0).sum())
     assert rewritten / foreground <= 0.01
 
 
 def test_oracle_masks(tmp_path):
     config = SynthConfig(num_images=24, bias_cooccurrence=0.5, seed=23)
-    corpus = generate(config, tmp_path)
+    manifest = generate(config, tmp_path).manifest
+    labels, gts = formats.load_pseudo_labels(manifest), formats.load_ground_truth(manifest)
+    masks = formats.load_bias_masks(manifest)
     problematic = set(config.problematic_classes)
     planted = 0
     eligible = 0
     patch = max(1, round(BIAS_BLOB_FRACTION * _blob_area(config)))
-    for rec in corpus.records:
-        mask = rec.biased_mask
-        eligible += len(rec.record.truth_classes & problematic)
+    for rec in manifest.records:
+        mask, label, gt = masks[rec.image_id], labels[rec.image_id].data, gts[rec.image_id].data
+        eligible += len(rec.truth_classes & problematic)
         # mask area is a whole number of planted patches
         assert int(mask.sum()) % patch == 0
         planted += int(mask.sum()) // patch
         # the mask only covers pixels the pseudo label marks as foreground
-        assert np.all(rec.pseudo_label.data[mask] > 0)
-        assert np.all(rec.gt.data[mask] == 0)
+        assert np.all(label[mask] > 0)
+        assert np.all(gt[mask] == 0)
         # ground truth is the pseudo label with the impostor pixels set to background
-        assert np.array_equal(rec.gt.data, np.where(mask, 0, rec.pseudo_label.data))
+        assert np.array_equal(gt, np.where(mask, 0, label))
     # binomial sanity: planted patches over eligible (class, image) pairs
     rate = planted / eligible
     sigma = np.sqrt(config.bias_cooccurrence * (1 - config.bias_cooccurrence) / eligible)
@@ -117,12 +119,13 @@ def test_prototype_separation(standard_corpus):
 def test_impostor_closer_to_background_population(standard_corpus):
     protos = standard_corpus.prototypes
     features = formats.load_features(standard_corpus.manifest)
+    labels = formats.load_pseudo_labels(standard_corpus.manifest)
     for cls in (1, 2):
         bias_sims = []
         target_sims = []
-        for rec in standard_corpus.records:
-            bg = rec.pseudo_label.data == 0
-            vectors = features[rec.image_id].data[:, bg].T.astype(np.float64)
+        for image_id, label in labels.items():
+            bg = label.data == 0
+            vectors = features[image_id].data[:, bg].T.astype(np.float64)
             vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
             bias_sims.append(vectors @ protos.biased[cls])
             target_sims.append(vectors @ protos.targets[cls])
@@ -132,10 +135,11 @@ def test_impostor_closer_to_background_population(standard_corpus):
 
 
 def test_truth_class_invariants(standard_corpus):
-    for rec in standard_corpus.records:
-        truth = rec.record.truth_classes
+    labels = formats.load_pseudo_labels(standard_corpus.manifest)
+    for rec in standard_corpus.manifest.records:
+        truth = rec.truth_classes
         assert truth and all(1 <= c <= 4 for c in truth)
-        assert set(rec.pseudo_label.foreground_classes()) <= truth
+        assert set(labels[rec.image_id].foreground_classes()) <= truth
 
 
 def test_infeasible_layout_rejected(tmp_path):
@@ -183,49 +187,34 @@ def test_config_validation():
     assert type(whole.num_classes) is int and type(whole.image_size[0]) is int
 
 
-def _same(a, b) -> bool:
-    """Equal dtype, shape and bytes: -0.0 and 0.0 differ."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def test_returned_corpus_is_the_written_corpus(tmp_path):
-    """Every label and mask generate returns is the file it wrote, read back
-    through formats, and owns its memory."""
+    """The returned manifest is the one generate wrote: every label, mask
+    and map is read through it from the files."""
     corpus = generate(SynthConfig(num_images=7, seed=2), tmp_path)
-    manifest = formats.read_manifest(tmp_path / "manifest.jsonl")
-    assert manifest == corpus.manifest
-    labels = formats.load_pseudo_labels(manifest)
-    gts = formats.load_ground_truth(manifest)
-    masks = formats.load_bias_masks(manifest)
-    returned = []
-    for rec in corpus.records:
-        image_id = rec.image_id
-        assert _same(labels[image_id].data, rec.pseudo_label.data)
-        assert _same(gts[image_id].data, rec.gt.data)
-        assert _same(masks[image_id], rec.biased_mask)
-        assert labels[image_id].num_classes == rec.pseudo_label.num_classes
-        assert gts[image_id].num_classes == rec.gt.num_classes
-        returned += [rec.pseudo_label.data, rec.gt.data, rec.biased_mask]
-    assert not any(a.flags.writeable for a in returned)
-    for a, b in itertools.combinations(returned, 2):
-        assert not np.shares_memory(a, b)
+    assert corpus.manifest == formats.read_manifest(tmp_path / "manifest.jsonl")
 
 
 def test_generate_holds_one_image_at_a_time(tmp_path):
-    """Tripling the corpus moves generate's traced peak by less than one
-    64x64, D=128 feature map: no map outlives its image."""
-    peaks = []
-    for n in (8, 24):
-        config = SynthConfig(num_images=n, image_size=(64, 64), embedding_dim=128, seed=1)
+    """Growing the corpus from 8 to 72 64x64, D=128 images moves generate's
+    traced peak by less than one feature map, and what the returned corpus
+    holds by less than one label map per extra image: no map, label or mask
+    outlives its image."""
+    shape = {"image_size": (64, 64), "embedding_dim": 128, "seed": 1}
+    # untraced: the modules and caches a first call leaves behind
+    generate(SynthConfig(num_images=8, **shape), tmp_path / "warm-up")
+    peaks, held = [], []
+    for n in (8, 72):
         tracemalloc.start()
         try:
-            generate(config, tmp_path / str(n))
+            corpus = generate(SynthConfig(num_images=n, **shape), tmp_path / str(n))
+            held.append(tracemalloc.get_traced_memory()[0])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    one_map = 128 * 64 * 64 * 4
+        assert len(corpus.manifest.records) == n
+    one_map, one_label = 128 * 64 * 64 * 4, 64 * 64 * 2
     assert abs(peaks[1] - peaks[0]) <= one_map, peaks
+    assert held[1] - held[0] < (72 - 8) * one_label, held
 
 
 def _drawer_threads():
